@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .graph import Graph, Ordering, evaluate
+from .oracles import build_dp_table, optimal_covers
 
 VC_NUMBER_N_GUARD = 24
 VC_NUMBER_TAU_GUARD = 20
@@ -93,53 +92,18 @@ def min_max_cost_over_optima(g: Graph):
     """(opt_cost, min_max_cost): the unconstrained optimal total charge and
     the smallest maximum charge among orderings achieving it.
 
-    Computed by a full-subset DP minimizing (total, max) lexicographically;
-    both components compose monotonically over prefix extensions.
+    An ordering's maximum charge is the length of its first covering prefix,
+    so the answer is the fewest vertices of any cover whose prefix-placement
+    value equals the optimum.
     """
     n = g.n
     if n > MIN_MAX_GUARD:
         raise AnalysisGuardError(f"min-max analysis limited to n <= {MIN_MAX_GUARD}")
     if g.m == 0:
         return 0, 0
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    adj = np.zeros(n, dtype=np.uint32)
-    for u, v in g.edges:
-        adj[u] |= np.uint32(1 << v)
-        adj[v] |= np.uint32(1 << u)
-    INF = np.int64(1) << 40
-    cost = np.full(size, INF, dtype=np.int64)
-    maxc = np.zeros(size, dtype=np.int64)
-    cost[0] = 0
-    popcnt = np.bitwise_count(masks).astype(np.int64)
-    for s in range(1, n + 1):
-        layer = masks[popcnt == s]
-        for v in range(n):
-            bit = np.uint32(1 << v)
-            sub = layer[(layer & bit) != 0]
-            if sub.size == 0:
-                continue
-            prev = sub ^ bit
-            out = np.bitwise_count(adj[v] & ~sub).astype(np.int64)
-            cand_cost = cost[prev] + s * out
-            cand_max = np.maximum(maxc[prev], np.where(out > 0, s, 0))
-            cur_cost = cost[sub]
-            cur_max = maxc[sub]
-            better = (cand_cost < cur_cost) | (
-                (cand_cost == cur_cost) & (cand_max < cur_max)
-            )
-            if better.any():
-                idx = sub[better]
-                cost[idx] = cand_cost[better]
-                maxc[idx] = cand_max[better]
-    not_cover = np.zeros(size, dtype=bool)
-    for u, v in g.edges:
-        em = np.uint32((1 << u) | (1 << v))
-        not_cover |= (masks & em) == 0
-    keys = cost * (n + 1) + maxc
-    keys[not_cover] = np.iinfo(np.int64).max
-    best = int(np.argmin(keys))
-    return int(cost[best]), int(maxc[best])
+    table = build_dp_table(g, n)
+    opt, best = optimal_covers(g, table, n)
+    return opt, int(table.popcount[best].min())
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,12 @@ branches decides the instance and yields a witness.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional
 
-from .graph import Graph, Instance, Ordering, evaluate
+from .graph import Graph, Instance, InvariantError, Ordering, evaluate
 from .covers import MinimalCover, enumerate_minimal_covers
 from .kernel import Kernel, TrivialNo, kernelize, lift
 
@@ -83,25 +81,9 @@ def _mapping_positions(k_eff: int, size: int, cache: dict) -> list[tuple[int, ..
     return cache[key]
 
 
-def _violates_order_rule(cover: list[int], pos: dict[int, int], degs, k: int) -> bool:
-    """Optimal orderings place u before v whenever d(u) - k >= d(v) > 0."""
-    for u in cover:
-        for v in cover:
-            if degs[u] - k >= degs[v] > 0 and pos[u] > pos[v]:
-                return True
-    return False
-
-
-def _explore_cover(
-    g: Graph,
-    k_eff: int,
-    cover: MinimalCover,
-    prune: bool,
-    perm_cache: dict,
-):
+def _explore_cover(g: Graph, k_eff: int, cover: MinimalCover, perm_cache: dict):
     """Best (cost, sequence) over all mappings and fills of one cover."""
     n = g.n
-    degs = [len(a) for a in g.adj]
     cover_list = sorted(cover.vertices)
     s = len(cover_list)
     budget = k_eff - s
@@ -119,8 +101,6 @@ def _explore_cover(
     for pos_tuple in _mapping_positions(k_eff, s, perm_cache):
         mappings += 1
         pos = dict(zip(cover_list, pos_tuple))
-        if prune and _violates_order_rule(cover_list, pos, degs, k_eff):
-            continue
         base = sum(min(pos[u], pos[v]) for u, v in inner_edges)
         base += sum(pos[u] * out_weight[u] for u in cover_list)
         occupied = set(pos_tuple)
@@ -202,7 +182,7 @@ def _materialize(
     return tuple(seq)
 
 
-def branch_solve(inst: Instance, prune: bool = False, threads: int = 1) -> SolveResult:
+def branch_solve(inst: Instance) -> SolveResult:
     """Decide the instance and report the cheapest ordering with max charge
     <= k; remaining vertices are appended after position k in ascending id."""
     start = time.perf_counter()
@@ -215,18 +195,8 @@ def branch_solve(inst: Instance, prune: bool = False, threads: int = 1) -> Solve
     mappings = 0
     branches = 0
 
-    if threads > 1 and len(covers) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _explore_cover(g, k_eff, c, prune, {}),
-                    covers,
-                )
-            )
-    else:
-        results = [_explore_cover(g, k_eff, c, prune, perm_cache) for c in covers]
-
-    for cost, seq, maps, brs in results:
+    for cover in covers:
+        cost, seq, maps, brs = _explore_cover(g, k_eff, cover, perm_cache)
         mappings += maps
         branches += brs
         if cost is None:
@@ -238,7 +208,8 @@ def branch_solve(inst: Instance, prune: bool = False, threads: int = 1) -> Solve
     if best_cost is not None:
         best_ordering = Ordering.from_sequence(best_seq)
         report = evaluate(g, best_ordering)
-        assert report.total == best_cost and report.max_cost <= k_eff
+        if report.total != best_cost or report.max_cost > k_eff:
+            raise InvariantError("branching witness failed re-verification")
     stats = SolveStats(
         covers_enumerated=len(covers),
         mappings_tried=mappings,
@@ -254,27 +225,12 @@ def branch_solve(inst: Instance, prune: bool = False, threads: int = 1) -> Solve
     )
 
 
-def default_threads() -> int:
-    env = os.environ.get("MSVC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def solve(
-    inst: Instance,
-    use_kernel: bool = True,
-    prune: bool = False,
-    threads: int = 1,
-) -> SolveResult:
+def solve(inst: Instance, use_kernel: bool = True) -> SolveResult:
     """Kernelize, run the branching solver on the kernel, lift the witness
     back to the original graph and re-verify it."""
     start = time.perf_counter()
     if not use_kernel:
-        return branch_solve(inst, prune=prune, threads=threads)
+        return branch_solve(inst)
     outcome = kernelize(inst)
     if isinstance(outcome, TrivialNo):
         stats = SolveStats(0, 0, 0, time.perf_counter() - start)
@@ -285,10 +241,11 @@ def solve(
             stats=stats,
             kernel_summary={"trivial_no": outcome.rule},
         )
-    assert isinstance(outcome, Kernel)
+    if not isinstance(outcome, Kernel):
+        raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     kernel_inst = outcome.instance
     offset = outcome.trace.w_offset
-    sub = branch_solve(kernel_inst, prune=prune, threads=threads)
+    sub = branch_solve(kernel_inst)
     summary = {
         "n": kernel_inst.graph.n,
         "m": kernel_inst.graph.m,
@@ -307,7 +264,7 @@ def solve(
     total = sub.best_cost + offset
     report = evaluate(inst.graph, lifted)
     if report.total != total or report.max_cost > inst.k:
-        raise AssertionError("lifted ordering failed re-verification")
+        raise InvariantError("lifted ordering failed re-verification")
     stats = SolveStats(
         sub.stats.covers_enumerated,
         sub.stats.mappings_tried,

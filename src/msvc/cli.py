@@ -1,9 +1,8 @@
 """Command-line surface: solve, kernelize, oracle, enum-mvc, gen, bench,
 verify, analyze.
 
-Exit codes: 0 = yes/success, 1 = no/infeasible, 2 = error.  The env var
-MSVC_THREADS provides the default for --threads.  Reports are emitted as
-newline-delimited JSON with an optional CSV projection.
+Exit codes: 0 = yes/success, 1 = no/infeasible, 2 = error.  Reports are
+emitted as newline-delimited JSON with an optional CSV projection.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -27,7 +25,7 @@ from .analysis import (
 from .branching import solve
 from .covers import enumerate_minimal_covers
 from .generators import FAMILIES, GeneratorSpec, generate
-from .graph import Instance, evaluate
+from .graph import Instance, InvariantError, evaluate
 from .instance_io import (
     ParseError,
     parse_ordering,
@@ -49,26 +47,13 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MSVC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _ordering_json(ordering) -> list[int]:
     return [v + 1 for v in ordering.sequence]
 
 
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
-    result = solve(
-        inst,
-        use_kernel=not args.no_kernel,
-        prune=args.prune,
-        threads=args.threads,
-    )
+    result = solve(inst, use_kernel=not args.no_kernel)
     payload = {
         "decision": "yes" if result.decision else "no",
         "total_cost": result.best_cost,
@@ -95,7 +80,8 @@ def cmd_kernelize(args) -> int:
     if isinstance(outcome, TrivialNo):
         print(json.dumps({"trivial_no": outcome.rule}))
         return EXIT_NO
-    assert isinstance(outcome, Kernel)
+    if not isinstance(outcome, Kernel):
+        raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     text = write_instance(outcome.instance)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,7 +196,7 @@ def cmd_bench(args) -> int:
             w = k * g.m
             inst = Instance(graph=g, w=w, k=k)
             t0 = time.perf_counter()
-            result = solve(inst, use_kernel=not args.no_kernel, threads=args.threads)
+            result = solve(inst, use_kernel=not args.no_kernel)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             row = {
                 "id": f"{spec.family}-{idx}-k{k}",
@@ -326,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide an instance and print a witness")
     p_solve.add_argument("instance")
     p_solve.add_argument("--no-kernel", action="store_true")
-    p_solve.add_argument("--prune", action="store_true")
-    p_solve.add_argument("--threads", type=int, default=_default_threads())
-    p_solve.add_argument("--seed", type=int, default=0, help="reserved; no effect on solving")
     p_solve.set_defaults(func=cmd_solve)
 
     p_kern = sub.add_parser("kernelize", help="reduce an instance and dump the trace")
@@ -363,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=int, default=None, help="fixed k; default sweeps 0..n")
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--no-kernel", action="store_true")
-    p_bench.add_argument("--threads", type=int, default=_default_threads())
     p_bench.add_argument("--csv", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

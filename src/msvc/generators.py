@@ -7,6 +7,7 @@ and library version.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
@@ -77,6 +78,18 @@ def generate(spec: GeneratorSpec) -> Graph:
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
     builder = globals()[f"_gen_{spec.family}"]
+    required = [
+        p for p in inspect.signature(builder).parameters.values() if p.default is p.empty
+    ]
+    if len(spec.params) != len(required):
+        names = ", ".join(p.name for p in required)
+        raise ValueError(
+            f"{spec.family} takes {len(required)} parameters ({names}), got {len(spec.params)}"
+        )
+    for p, value in zip(required, spec.params):
+        # annotations are strings under postponed evaluation
+        if p.annotation == "int" and not isinstance(value, int):
+            raise ValueError(f"{spec.family} parameter {p.name} must be an integer, got {value!r}")
     return builder(*spec.params, seed=spec.seed)
 
 

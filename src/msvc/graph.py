@@ -19,6 +19,10 @@ class OrderingError(ValueError):
     """A vertex ordering that is not a bijection onto 1..n."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -164,13 +168,19 @@ class Instance:
 
 def sorted_by_degree(g: Graph) -> list[int]:
     """Vertices by non-increasing degree, ties broken by ascending id."""
-    if g.n >= 4096:
+    return order_by_degree([len(a) for a in g.adj])
+
+
+def order_by_degree(degs: Sequence[int]) -> list[int]:
+    """Indices of a degree sequence by non-increasing degree, ties broken by
+    ascending index."""
+    n = len(degs)
+    if n >= 4096:
         import numpy as np
 
-        degs = np.fromiter((len(a) for a in g.adj), dtype=np.int64, count=g.n)
         # lexsort: last key dominates, so sort by (-degree, id)
-        return list(np.lexsort((np.arange(g.n), -degs)))
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+        return np.lexsort((np.arange(n), -np.asarray(degs, dtype=np.int64))).tolist()
+    return sorted(range(n), key=lambda v: (-degs[v], v))
 
 
 def evaluate(g: Graph, ordering: Ordering) -> CostReport:

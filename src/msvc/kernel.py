@@ -24,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .graph import Graph, Instance, Ordering, build_graph, evaluate, sorted_by_degree
+from .graph import (
+    Graph,
+    Instance,
+    InvariantError,
+    Ordering,
+    build_graph,
+    evaluate,
+    order_by_degree,
+    sorted_by_degree,
+)
 
 
 class LiftError(RuntimeError):
@@ -104,14 +113,6 @@ class _WorkGraph:
         self.deg[v] -= 1
         self.m -= 1
 
-    def sorted_vertices(self) -> list[int]:
-        if self.n >= 4096:
-            import numpy as np
-
-            degs = np.array(self.deg, dtype=np.int64)
-            return list(np.lexsort((np.arange(self.n), -degs)))
-        return sorted(range(self.n), key=lambda v: (-self.deg[v], v))
-
 
 def rule1_check(inst: Instance) -> bool:
     """True (trivial no-instance) iff more than k vertices have degree > k,
@@ -150,13 +151,13 @@ def _apply_rule2(work: _WorkGraph, order: list[int], t: int, k: int) -> Rule2Rec
     head_set = set(head)
     delta = work.deg[order[t - 1]] - work.deg[order[t]]
     need = delta - k
-    assert need > 0, "rule 2 called without a big gap"
+    if need <= 0:
+        raise InvariantError("rule 2 called without a big gap")
     removed: list[tuple[int, int]] = []
     for u in head:
         tail_neighbors = [x for x in work.adj[u] if x not in head_set]
-        assert len(tail_neighbors) >= need, (
-            "head vertex lacks tail edges; degree accounting is broken"
-        )
+        if len(tail_neighbors) < need:
+            raise InvariantError("head vertex lacks tail edges; degree accounting is broken")
         tail_neighbors.sort(key=lambda x: (work.deg[x], x))
         for x in tail_neighbors[:need]:
             work.remove_edge(u, x)
@@ -169,7 +170,7 @@ def rule2_apply(inst: Instance, t: int) -> tuple[Instance, Rule2Record]:
     """Standalone application of the degree-gap reduction at cut index t."""
     g, k = inst.graph, inst.k
     work = _WorkGraph(g)
-    order = work.sorted_vertices()
+    order = order_by_degree(work.deg)
     delta = work.deg[order[t - 1]] - work.deg[order[t]]
     if delta <= k:
         raise ValueError(f"gap at t={t} is {delta}, needs to exceed k={k}")
@@ -285,24 +286,26 @@ def kernelize(inst: Instance) -> KernelOutcome:
         return TrivialNo(rule="rule1")
     work = _WorkGraph(g)
     trace = KernelTrace(original_n=g.n)
+    order = order_by_degree(work.deg)
     while True:
-        order = work.sorted_vertices()
         if work.n == 0 or work.deg[order[0]] == 0:
             break
         k0 = sum(1 for v in range(work.n) if work.deg[v] > k)
         if work.deg[order[0]] <= k * (k0 + 1):
             break
-        degs = [work.deg[v] for v in order]
-        t = _find_gap_in(degs, k)
-        assert t is not None, "top degree above k*(k0+1) forces a big gap"
+        t = _find_gap_in([work.deg[v] for v in order], k)
+        if t is None:
+            raise InvariantError("top degree above k*(k0+1) forces a big gap")
         record = _apply_rule2(work, order, t, k)
         trace.steps.append(record)
         w -= record.w_delta
         if w < 0:
             return TrivialNo(rule="budget-underflow")
-        # the head block keeps its order and the gap at t closes to exactly k
-        new_degs = [work.deg[v] for v in work.sorted_vertices()]
-        assert new_degs[t - 1] - new_degs[t] == k
+        # the head block keeps its order and the gap at t closes to exactly
+        # k; the re-sorted order carries into the next step
+        order = order_by_degree(work.deg)
+        if work.deg[order[t - 1]] - work.deg[order[t]] != k:
+            raise InvariantError(f"rule 2 left a gap other than k at t={t}")
     high, _, iso = _isolated_substitution_sets(work, k)
     rest = work.n - len(high) - len(iso)
     if rest > (k - len(high)) * (k + 1):

@@ -9,16 +9,19 @@ witness sequence, or None when no vertex cover of size <= k exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .graph import Graph, Ordering
+from .graph import Graph, InvariantError, Ordering
 
 BRUTE_FORCE_GUARD = 10
 SUBSET_DP_GUARD = 24
 
 _CHUNK = 40320  # permutations processed per numpy batch
+
+# value held by every DpTable mask with more than k vertices
+DP_UNFILLED = int(np.iinfo(np.int32).max)
 
 
 class OracleGuardError(ValueError):
@@ -27,13 +30,17 @@ class OracleGuardError(ValueError):
 
 @dataclass(frozen=True)
 class DpTable:
-    """Prefix-placement table: value[mask] is the minimal total charge of any
-    ordering that places exactly the vertices of ``mask`` first.
+    """Prefix-placement table over all 2^n vertex subsets, indexed by bitmask.
 
-    Populated layer by layer (subset size 0..k); value[0] == 0.
+    ``value`` is a numpy int32 array: value[mask] is the minimal total charge
+    of any ordering that places exactly the vertices of ``mask`` first, and
+    value[0] == 0.  Only the layers of popcount 0..k are filled; every mask
+    with more than k vertices holds the sentinel ``DP_UNFILLED``.
+    ``popcount[mask]`` (uint8) is the number of vertices in ``mask``.
     """
 
-    value: dict[int, int]
+    value: np.ndarray
+    popcount: np.ndarray
 
 
 def _perm_batches(n: int):
@@ -50,6 +57,18 @@ def _perm_batches(n: int):
         yield np.array(batch, dtype=np.int64).reshape(rows, n)
 
 
+def _charge_batches(g: Graph):
+    """Every ordering of a graph with edges, batched: yields (seqs, totals,
+    maxes), where row i of ``seqs`` is an ordering whose total charge is
+    totals[i] and whose largest single charge is maxes[i]."""
+    uu = np.array([u for u, _ in g.edges], dtype=np.int64)
+    vv = np.array([v for _, v in g.edges], dtype=np.int64)
+    for seqs in _perm_batches(g.n):
+        pos = np.argsort(seqs, axis=1) + 1
+        costs = np.minimum(pos[:, uu], pos[:, vv])
+        yield seqs, costs.sum(axis=1), costs.max(axis=1)
+
+
 def brute_force_optimal(g: Graph, k: int, guard: int = BRUTE_FORCE_GUARD):
     """Minimum total charge over all n! orderings with max charge <= k.
 
@@ -64,15 +83,10 @@ def brute_force_optimal(g: Graph, k: int, guard: int = BRUTE_FORCE_GUARD):
         return 0, Ordering.from_sequence(())
     if g.m == 0:
         return 0, Ordering.identity(n)
-    uu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    vv = np.array([v for _, v in g.edges], dtype=np.int64)
     best_total = None
     best_seq = None
-    for seqs in _perm_batches(n):
-        pos = np.argsort(seqs, axis=1) + 1
-        costs = np.minimum(pos[:, uu], pos[:, vv])
-        totals = costs.sum(axis=1)
-        feasible = costs.max(axis=1) <= k_eff
+    for seqs, totals, maxes in _charge_batches(g):
+        feasible = maxes <= k_eff
         if not feasible.any():
             continue
         masked = np.where(feasible, totals, np.iinfo(np.int64).max)
@@ -96,14 +110,8 @@ def brute_force_profile(g: Graph, guard: int = BRUTE_FORCE_GUARD) -> list:
         raise OracleGuardError(f"brute force limited to n <= {guard}, got {n}")
     if n == 0 or g.m == 0:
         return [0] * (n + 1)
-    uu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    vv = np.array([v for _, v in g.edges], dtype=np.int64)
     best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    for seqs in _perm_batches(n):
-        pos = np.argsort(seqs, axis=1) + 1
-        costs = np.minimum(pos[:, uu], pos[:, vv])
-        totals = costs.sum(axis=1)
-        maxes = costs.max(axis=1)
+    for _, totals, maxes in _charge_batches(g):
         np.minimum.at(best, maxes, totals)
     # min total over max charge <= c is the prefix minimum
     out: list = []
@@ -114,80 +122,73 @@ def brute_force_profile(g: Graph, guard: int = BRUTE_FORCE_GUARD) -> list:
     return out
 
 
-def _adj_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
+def _adj_masks(g: Graph) -> np.ndarray:
+    masks = np.zeros(g.n, dtype=np.int64)
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
 
 
-def _edge_masks(g: Graph) -> list[int]:
-    return [(1 << u) | (1 << v) for u, v in g.edges]
+def _popcounts(n: int) -> np.ndarray:
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    return pc
+
+
+def _transitions(value: np.ndarray, adj: np.ndarray, layer: np.ndarray, s: int):
+    """The recurrence value[S] = min over v in S of value[S - v] + |S| * |N(v) - S|
+    on the masks S of one layer (all of popcount s): yields, per vertex v, the
+    masks holding v, those masks without v, and the candidate charges."""
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        sub = layer[(layer & bit) != 0]
+        prev = sub ^ bit
+        yield sub, prev, value[prev] + s * np.bitwise_count(nbrs & ~sub).astype(np.int32)
 
 
 def build_dp_table(g: Graph, k: int, guard: int = SUBSET_DP_GUARD) -> DpTable:
-    """Populate the prefix-placement table for all subsets of size <= min(k, n)."""
+    """Fill the prefix-placement table for all subsets of size <= min(k, n)."""
     n = g.n
     if n > guard:
         raise OracleGuardError(f"subset DP limited to n <= {guard}, got {n}")
-    k_eff = min(k, n)
     adj = _adj_masks(g)
-    full = (1 << n) - 1
-    value: dict[int, int] = {0: 0}
-    for size in range(1, k_eff + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            outside = full & ~mask
-            best = None
-            for v in combo:
-                cand = value[mask ^ (1 << v)] + size * (adj[v] & outside).bit_count()
-                if best is None or cand < best:
-                    best = cand
-            value[mask] = best
-    return DpTable(value=value)
+    table = DpTable(value=np.full(1 << n, DP_UNFILLED, dtype=np.int32), popcount=_popcounts(n))
+    value = table.value
+    value[0] = 0
+    for s in range(1, min(k, n) + 1):
+        layer = np.flatnonzero(table.popcount == s)
+        for sub, _, cand in _transitions(value, adj, layer, s):
+            value[sub] = np.minimum(value[sub], cand)
+    return table
 
 
-def _suffix_table(g: Graph, k_eff: int) -> dict[int, int | None]:
-    """remaining[mask]: minimal charge still to pay after placing ``mask``
-    first, respecting the k_eff bound; None when infeasible."""
-    n = g.n
-    adj = _adj_masks(g)
-    edge_masks = _edge_masks(g)
-    remaining: dict[int, int | None] = {}
-    for size in range(k_eff, -1, -1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if all(mask & em for em in edge_masks):
-                remaining[mask] = 0
-                continue
-            if size == k_eff:
-                remaining[mask] = None
-                continue
-            best: int | None = None
-            for v in range(n):
-                bit = 1 << v
-                if mask & bit:
-                    continue
-                nxt = remaining[mask | bit]
-                if nxt is None:
-                    continue
-                step = (size + 1) * (adj[v] & ~(mask | bit)).bit_count()
-                if best is None or step + nxt < best:
-                    best = step + nxt
-            remaining[mask] = best
-    return remaining
+def optimal_covers(g: Graph, table: DpTable, k: int):
+    """(opt, masks): the least table value over vertex covers of at most
+    min(k, n) vertices, and every such cover attaining it; None when the
+    graph has no cover that small."""
+    masks = np.flatnonzero(table.popcount <= min(k, g.n))
+    outside = ~masks
+    is_cover = np.ones(masks.size, dtype=bool)
+    for v, nbrs in enumerate(_adj_masks(g)):
+        # a vertex left outside the cover needs every neighbor inside it
+        is_cover &= ((masks & (1 << v)) != 0) | ((nbrs & outside) == 0)
+    covers = masks[is_cover]
+    if covers.size == 0:
+        return None
+    values = table.value[covers]
+    opt = int(values.min())
+    return opt, covers[values == opt]
 
 
 def subset_dp_optimal(g: Graph, k: int, guard: int = SUBSET_DP_GUARD):
     """Subset DP optimum with max charge <= k; None when infeasible.
 
-    The witness is the lexicographically smallest optimal sequence,
-    reconstructed by a greedy forward walk over the residual-cost table.
+    The witness is the lexicographically smallest optimal sequence.  A
+    backward pass marks the tight masks: prefixes of some optimal ordering,
+    placed at their least charge.  A forward walk then takes, at each step,
+    the smallest vertex whose placement keeps the prefix tight.
     """
     n = g.n
     if n > guard:
@@ -195,37 +196,37 @@ def subset_dp_optimal(g: Graph, k: int, guard: int = SUBSET_DP_GUARD):
     k_eff = min(k, n)
     if n == 0:
         return 0, Ordering.from_sequence(())
-    adj = _adj_masks(g)
-    edge_masks = _edge_masks(g)
-    table = build_dp_table(g, k, guard=guard)
-    opt = None
-    for mask, val in table.value.items():
-        if all(mask & em for em in edge_masks):
-            if opt is None or val < opt:
-                opt = val
-    if opt is None:
+    table = build_dp_table(g, k, guard)
+    found = optimal_covers(g, table, k_eff)
+    if found is None:
         return None
-    remaining = _suffix_table(g, k_eff)
-    assert remaining[0] == opt, "prefix and suffix tables disagree"
+    opt, best = found
+    adj = _adj_masks(g)
+    value = table.value
+    tight = np.zeros(value.size, dtype=bool)
+    tight[best] = True
+    for s in range(k_eff, 0, -1):
+        layer = np.flatnonzero(tight & (table.popcount == s))
+        for sub, prev, cand in _transitions(value, adj, layer, s):
+            tight[prev[cand == value[sub]]] = True
+
+    adj_int = [int(a) for a in adj]
     seq: list[int] = []
     mask = 0
-    while not all(mask & em for em in edge_masks):
-        size = len(seq)
-        target = remaining[mask]
+    # a tight prefix covers every edge exactly when its charge reaches opt,
+    # since each uncovered edge still costs at least 1
+    while (charge := int(value[mask])) < opt:
+        size = len(seq) + 1
         for v in range(n):
-            bit = 1 << v
-            if mask & bit:
+            nxt = mask | (1 << v)
+            if nxt == mask or not tight[nxt]:
                 continue
-            nxt = remaining.get(mask | bit)
-            if nxt is None:
-                continue
-            step = (size + 1) * (adj[v] & ~(mask | bit)).bit_count()
-            if step + nxt == target:
+            if charge + size * (adj_int[v] & ~nxt).bit_count() == value[nxt]:
                 seq.append(v)
-                mask |= bit
+                mask = nxt
                 break
-        else:  # pragma: no cover - contradicts table consistency
-            raise AssertionError("no tight extension during DP reconstruction")
+        else:
+            raise InvariantError("no tight extension during DP reconstruction")
     placed = set(seq)
     seq.extend(v for v in range(n) if v not in placed)
     return opt, Ordering.from_sequence(seq)

@@ -187,15 +187,6 @@ def test_determinism(inst):
         assert a.best_ordering.sequence == b.best_ordering.sequence
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances(max_n=6))
-def test_prune_preserves_results(inst):
-    plain = branch_solve(inst)
-    pruned = branch_solve(inst, prune=True)
-    assert plain.best_cost == pruned.best_cost
-    assert plain.decision == pruned.decision
-
-
 def test_matches_subset_dp_beyond_brute_scale():
     """Mid-size graphs where only the DP oracle still runs."""
     from msvc import GeneratorSpec, generate, subset_dp_optimal
@@ -209,16 +200,6 @@ def test_matches_subset_dp_beyond_brute_scale():
                 assert got.best_cost is None
             else:
                 assert got.best_cost == want[0], (g.edges, k)
-
-
-def test_threads_match_sequential():
-    cc = claw_chain6()
-    seq = branch_solve(Instance(triangle(), w=4, k=2))
-    par = branch_solve(Instance(triangle(), w=4, k=2), threads=2)
-    assert seq.best_cost == par.best_cost
-    assert seq.best_ordering.sequence == par.best_ordering.sequence
-    a = branch_solve(Instance(cc, w=60, k=7), threads=3)
-    assert a.best_cost == 60
 
 
 def test_exchange_property():

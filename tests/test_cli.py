@@ -36,7 +36,7 @@ def test_solve_no_exit_code(tmp_path, capsys):
 
 
 def test_solve_no_kernel_flag(tmp_path, capsys):
-    code, out, _ = run(capsys, ["solve", write_p3(tmp_path), "--no-kernel", "--prune"])
+    code, out, _ = run(capsys, ["solve", write_p3(tmp_path), "--no-kernel"])
     assert code == 0
     assert json.loads(out)["total_cost"] == 2
 
@@ -64,6 +64,21 @@ def test_kernelize_writes_instance_and_trace(tmp_path, capsys):
     assert len(trace["vertex_map"]) == 3
     rules = [s["rule"] for s in trace["steps"]]
     assert rules == [2, 4]
+
+
+def test_kernelize_trace_past_numpy_sort_threshold(tmp_path, capsys):
+    """From 4096 vertices on the degree sort runs in numpy; the trace must
+    still hold plain integers that serialize."""
+    leaves = 5000
+    star = build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    inst_path = tmp_path / "star.msvc"
+    inst_path.write_text(write_instance(Instance(star, w=leaves, k=1)))
+    trace_path = tmp_path / "trace.json"
+    code, _, _ = run(capsys, ["kernelize", str(inst_path), "--trace", str(trace_path)])
+    assert code == 0
+    trace = json.loads(trace_path.read_text())
+    assert trace["w_offset"] == leaves - 2
+    assert [s["rule"] for s in trace["steps"]] == [2, 4]
 
 
 def test_kernelize_trivial_no(tmp_path, capsys):
@@ -115,6 +130,13 @@ def test_gen_claw_chain_defaults(tmp_path, capsys):
     assert code == 0
     inst = parse_instance(out)
     assert inst.graph.n == 19 and inst.graph.m == 18
+
+
+@pytest.mark.parametrize("argv", [["gen", "star", "3.0"], ["gen", "gnp", "8"]])
+def test_gen_bad_params_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_feasible(tmp_path, capsys):
@@ -175,10 +197,3 @@ def test_analyze_rows(capsys):
         assert {"graph_id", "n", "m", "tau", "opt_cost", "min_max_cost", "gap_to_tau"} <= set(row)
         if row.get("bound") is not None:
             assert row["bound_holds"]
-
-
-def test_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MSVC_THREADS", "2")
-    code, out, _ = run(capsys, ["solve", write_p3(tmp_path)])
-    assert code == 0
-    assert json.loads(out)["total_cost"] == 2

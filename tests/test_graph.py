@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msvc
 from msvc import (
     GraphError,
     Instance,
@@ -162,3 +166,15 @@ def test_cover_prefix_bounds_max_cost(pair):
         prefix = {ordering.at(i) for i in range(1, k + 1)}
         if is_vertex_cover(g, prefix):
             assert rep.max_cost <= k
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert statements, so library invariants raise
+    InvariantError instead."""
+    offenders = []
+    for path in sorted(Path(msvc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from msvc import (
     Instance,
+    InvariantError,
     Kernel,
     Ordering,
     Rule2Record,
@@ -20,7 +21,7 @@ from msvc import (
     rule4_apply,
 )
 from msvc.branching import branch_solve
-from msvc.kernel import KernelTrace
+from msvc.kernel import KernelTrace, _WorkGraph, _apply_rule2
 
 from conftest import double_star, p3, star, triangle
 
@@ -315,3 +316,9 @@ def test_kernelize_deterministic():
     assert a.instance == b.instance
     assert a.trace.steps == b.trace.steps
     assert a.trace.vertex_map == b.trace.vertex_map
+
+
+def test_rule2_without_big_gap_raises_invariant_error():
+    work = _WorkGraph(p3())
+    with pytest.raises(InvariantError):
+        _apply_rule2(work, [1, 0, 2], 1, 1)
