@@ -32,7 +32,7 @@ from .instance_io import (
     read_instance,
     write_instance,
 )
-from .kernel import Kernel, Rule2Record, Rule4Record, TrivialNo, kernelize
+from .kernel import Kernel, LiftError, Rule2Record, Rule4Record, TrivialNo, kernelize
 from .oracles import (
     OracleGuardError,
     BRUTE_FORCE_GUARD,
@@ -63,7 +63,9 @@ def cmd_solve(args) -> int:
         "stats": {
             "covers_enumerated": result.stats.covers_enumerated,
             "mappings_tried": result.stats.mappings_tried,
+            "mappings_cut": result.stats.mappings_cut,
             "branches": result.stats.branches,
+            "incumbent": result.stats.incumbent,
             "elapsed": result.stats.elapsed,
         },
     }
@@ -206,7 +208,10 @@ def cmd_bench(args) -> int:
                 "kernel_n": (result.kernel_summary or {}).get("n"),
                 "kernel_m": (result.kernel_summary or {}).get("m"),
                 "covers_enumerated": result.stats.covers_enumerated,
+                "mappings_tried": result.stats.mappings_tried,
+                "mappings_cut": result.stats.mappings_cut,
                 "branches": result.stats.branches,
+                "incumbent": result.stats.incumbent,
                 "time_ms": round(elapsed_ms, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,
@@ -371,7 +376,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OracleGuardError, AnalysisGuardError, ValueError, OSError) as exc:
+    except (
+        ParseError,
+        OracleGuardError,
+        AnalysisGuardError,
+        ValueError,
+        OSError,
+        InvariantError,
+        LiftError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

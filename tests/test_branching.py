@@ -1,8 +1,12 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvc import (
+    GeneratorSpec,
     Instance,
     Ordering,
     PartialPlacement,
@@ -11,9 +15,18 @@ from msvc import (
     candidate_set,
     enumerate_minimal_covers,
     evaluate,
+    generate,
     score,
+    subset_dp_optimal,
 )
-from msvc.branching import branch_solve, solve
+from msvc.branching import (
+    _CoverTerms,
+    _mapping_blocks,
+    _Search,
+    branch_solve,
+    greedy_incumbent,
+    solve,
+)
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
@@ -189,8 +202,6 @@ def test_determinism(inst):
 
 def test_matches_subset_dp_beyond_brute_scale():
     """Mid-size graphs where only the DP oracle still runs."""
-    from msvc import GeneratorSpec, generate, subset_dp_optimal
-
     for n, p, seed in ((12, 0.15, 3), (13, 0.12, 5), (14, 0.1, 9)):
         g = generate(GeneratorSpec("gnp", (n, p), seed=seed))
         for k in (4, 6):
@@ -242,3 +253,63 @@ def test_exchange_property():
                         swapped[ix], swapped[iy] = swapped[iy], swapped[ix]
                         new_total = evaluate(g, Ordering.from_sequence(swapped)).total
                         assert new_total >= base_total
+
+
+# ------------------------------------------------------------ bounds
+
+def test_greedy_incumbent():
+    assert greedy_incumbent(claw_chain6(), 7) == 60  # already optimal
+    assert greedy_incumbent(triangle(), 1) is None  # its max charge is 2
+    assert greedy_incumbent(build_graph(4, []), 0) == 0
+
+
+def test_mapping_bound_never_exceeds_walked_optimum():
+    for g, k in ((claw_chain6(), 7), (double_star(), 3)):
+        for cover in enumerate_minimal_covers(g, k)[:3]:
+            terms = _CoverTerms(g, cover)
+            for block in _mapping_blocks(k, cover.size):
+                base, bound = terms.bounds(block, k)
+                for row, row_base, low in zip(block.tolist(), base.tolist(), bound.tolist()):
+                    search = _Search(g, k, None)
+                    search.walk_mapping(terms, row, row_base)
+                    assert low <= search.best_cost, (cover.sorted(), row)
+
+
+def test_mapping_blocks_enumerate_every_mapping_once():
+    for k, s in ((0, 0), (3, 0), (4, 2), (8, 8), (9, 5)):
+        rows = [tuple(r) for block in _mapping_blocks(k, s) for r in block.tolist()]
+        assert rows == list(permutations(range(1, k + 1), s))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_matches_subset_dp_past_brute_force_scale(n):
+    for i, p in enumerate((0.15, 0.2, 0.3, 0.45)):
+        g = generate(GeneratorSpec("gnp", (n, p), seed=700 + 10 * n + i))
+        for k in range(1, 8):
+            want = subset_dp_optimal(g, k)
+            inst = Instance(g, w=k * g.m, k=k)
+            for got in (branch_solve(inst), solve(inst)):
+                assert got.best_cost == (None if want is None else want[0]), (n, p, k)
+
+
+def witness_corpus():
+    """Seeded gnp graphs, five per n = 1..8, each with every k in 0..n."""
+    for n in range(1, 9):
+        for i, p in enumerate((0.15, 0.3, 0.45, 0.6, 0.8)):
+            g = generate(GeneratorSpec("gnp", (n, p), seed=900 + 10 * n + i))
+            for k in range(n + 1):
+                yield n, i, k, Instance(g, w=k * g.m, k=k)
+
+
+# sha256 of every (cost, witness) of the corpus, as computed by the solver
+# that walked every mapping; any change to a cost or a tie-break moves it
+WITNESS_DIGEST = "e7177ad00316afcbd13633d86d266ff492d3aa49ea065bc83b01734e59c96dd4"
+
+
+def test_witnesses_pinned():
+    h = hashlib.sha256()
+    for n, i, k, inst in witness_corpus():
+        for r in (branch_solve(inst), solve(inst)):
+            seq = None if r.best_ordering is None else r.best_ordering.sequence
+            h.update(repr((n, i, k, r.best_cost, seq)).encode())
+    assert h.hexdigest() == WITNESS_DIGEST

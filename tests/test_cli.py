@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from msvc import Instance, build_graph, parse_instance, write_instance
+from msvc import Instance, InvariantError, LiftError, build_graph, parse_instance, write_instance
+from msvc import cli
 from msvc.cli import main
 
 from conftest import p3, triangle
@@ -27,6 +28,9 @@ def test_solve_yes(tmp_path, capsys):
     assert payload["decision"] == "yes"
     assert payload["total_cost"] == 2 and payload["max_cost"] == 1
     assert payload["ordering"] == [2, 1, 3]
+    stats = payload["stats"]
+    assert stats["mappings_tried"] >= stats["mappings_cut"] >= 0
+    assert stats["incumbent"] == 2  # the greedy ordering of P3 is optimal
 
 
 def test_solve_no_exit_code(tmp_path, capsys):
@@ -44,6 +48,17 @@ def test_solve_no_kernel_flag(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     code, _, err = run(capsys, ["solve", "/nonexistent/file.msvc"])
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("error", [InvariantError, LiftError])
+def test_solve_internal_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    def broken(inst, use_kernel=True):
+        raise error("re-verification failed")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    code, out, err = run(capsys, ["solve", write_p3(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: re-verification failed")
 
 
 def test_kernelize_writes_instance_and_trace(tmp_path, capsys):
@@ -182,6 +197,8 @@ def test_bench_rows_match_oracle(tmp_path, capsys):
     assert rows
     for row in rows:
         assert row["cost"] == row["oracle_cost"]
+        assert row["mappings_tried"] >= row["mappings_cut"] >= 0
+        assert "incumbent" in row
     assert csv_path.read_text().startswith("id,")
 
 
