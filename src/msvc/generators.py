@@ -10,6 +10,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph, build_graph
 
 _PCG_MULT = 6364136223846793005
@@ -108,7 +110,8 @@ def _gen_cycle(n: int, seed: int = 0) -> Graph:
 def _gen_star(leaves: int, seed: int = 0) -> Graph:
     if leaves < 0:
         raise ValueError("star needs a nonnegative leaf count")
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    hub = np.zeros(leaves, dtype=np.int64)
+    return build_graph(leaves + 1, np.column_stack((hub, np.arange(1, leaves + 1))))
 
 
 def _gen_double_star(p: int, q: int, seed: int = 0) -> Graph:

@@ -3,12 +3,25 @@
 A solution is an ordering of the vertices (positions 1..n).  Every edge is
 charged the smaller of its two endpoint positions; the objective is the sum
 of these charges, subject to a bound k on the largest single charge.
+
+A ``Graph`` is two read-only int64 arrays ``eu < ev`` in lexicographic
+order.  The degree array and the tuple views ``edges``, ``adj`` and
+``degrees`` are computed on first use and cached, so a graph that is only
+parsed, kernelized and written never builds a Python object per edge.
+``Ordering`` keeps its position and sequence tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# build_graph sorts vertex pairs by the key lo * n + hi, which must fit in
+# int64
+MAX_VERTICES = 3_037_000_499
 
 
 class GraphError(ValueError):
@@ -23,60 +36,120 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    ``edges`` holds normalized pairs (u < v) in sorted order; ``adj`` holds a
-    sorted neighbor tuple per vertex.  Instances are immutable and safe to
-    share across threads.
+    Edge i is ``(eu[i], ev[i])`` with ``eu[i] < ev[i]``, in lexicographic
+    order.  ``edges`` (the same pairs as a tuple) and ``adj`` (a sorted
+    neighbor tuple per vertex) are views built on first use.  Instances are
+    immutable, compare by value and are safe to share across threads.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[int, ...], ...]
+    eu: np.ndarray
+    ev: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.eu, other.eu)
+            and np.array_equal(self.ev, other.ev)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.eu.tobytes(), self.ev.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, m={self.m})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.eu.size
+
+    @cached_property
+    def deg(self) -> np.ndarray:
+        """Degree of every vertex (read-only int64 array)."""
+        return _readonly(np.bincount(np.concatenate((self.eu, self.ev)), minlength=self.n))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.eu.tolist(), self.ev.tolist()))
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        n = self.n
+        # both directions of every edge, sorted by (vertex, neighbor)
+        key = np.concatenate((self.eu * n + self.ev, self.ev * n + self.eu))
+        key.sort()
+        flat = (key % max(n, 1)).tolist()
+        ends = np.cumsum(self.deg).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self.deg.tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
+        return int(self.deg[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        # adjacency tuples are sorted; linear scan is fine at query scale
         return v in self.adj[u]
 
 
-def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list, rejecting self-loops, duplicates and
-    out-of-range endpoints."""
+def _first_bad_edge(n: int, pairs: Iterable[tuple[int, int]]) -> GraphError:
+    """The error for the first out-of-range or self-loop edge of pairs."""
+    for u, v in pairs:
+        if not (0 <= u < n) or not (0 <= v < n):
+            return GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            return GraphError(f"self-loop at vertex {u}")
+    raise InvariantError("no offending edge among the pairs")
+
+
+def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
+    """Build a Graph from vertex pairs or an (m, 2) integer array, rejecting
+    out-of-range endpoints, self-loops and duplicates.
+
+    The error names the first out-of-range or self-loop edge in input order,
+    else the smallest duplicated pair."""
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    normalized = []
-    for u, v in edge_list:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        normalized.append((u, v) if u < v else (v, u))
-    normalized.sort()
-    for i in range(1, len(normalized)):
-        if normalized[i] == normalized[i - 1]:
-            raise GraphError(f"duplicate edge {normalized[i]}")
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in normalized:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    # iteration over lex-sorted edges appends each adjacency list in
-    # ascending order, so no per-vertex sort is needed
-    return Graph(n=n, edges=tuple(normalized), adj=tuple(tuple(a) for a in neighbors))
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
+    if not isinstance(edge_list, (np.ndarray, list, tuple)):
+        edge_list = list(edge_list)
+    try:
+        pairs = np.asarray(edge_list, dtype=np.int64)
+    except OverflowError:
+        # some endpoint does not fit in int64, so it is out of range
+        raise _first_bad_edge(n, edge_list) from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    if lo.min(initial=0) < 0 or hi.max(initial=-1) >= n or (lo == hi).any():
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        raise _first_bad_edge(n, pairs[bad.argmax(), None].tolist())
+    key = lo * n + hi
+    key.sort()
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        first = int(key[dup.argmax()])
+        raise GraphError(f"duplicate edge {divmod(first, n)}")
+    eu, ev = np.divmod(key, max(n, 1))
+    return Graph(n=n, eu=_readonly(eu), ev=_readonly(ev))
 
 
 @dataclass(frozen=True)
@@ -91,16 +164,16 @@ class Ordering:
     sequence: tuple[int, ...]
 
     @staticmethod
-    def from_sequence(seq: Sequence[int]) -> "Ordering":
+    def from_sequence(seq: Sequence[int] | np.ndarray) -> "Ordering":
         n = len(seq)
-        position = [0] * n
-        seen = [False] * n
-        for i, v in enumerate(seq):
-            if not (0 <= v < n) or seen[v]:
-                raise OrderingError(f"sequence {list(seq)} is not a permutation of 0..{n - 1}")
-            seen[v] = True
-            position[v] = i + 1
-        return Ordering(position=tuple(position), sequence=tuple(seq))
+        arr = np.asarray(seq) if n else np.zeros(0, dtype=np.int64)
+        position = np.zeros(n, dtype=np.int64)
+        if arr.shape == (n,) and arr.dtype.kind in "iu" and n and arr.min() >= 0 and arr.max() < n:
+            position[arr] = np.arange(1, n + 1)
+        # an id out of range leaves every position 0, a repeated one leaves one
+        if n and position.min() == 0:
+            raise OrderingError(f"sequence {list(seq)} is not a permutation of 0..{n - 1}")
+        return Ordering(position=tuple(position.tolist()), sequence=tuple(arr.tolist()))
 
     @staticmethod
     def from_positions(position: Sequence[int]) -> "Ordering":
@@ -168,39 +241,24 @@ class Instance:
 
 def sorted_by_degree(g: Graph) -> list[int]:
     """Vertices by non-increasing degree, ties broken by ascending id."""
-    return order_by_degree([len(a) for a in g.adj])
+    return order_by_degree(g.deg)
 
 
-def order_by_degree(degs: Sequence[int]) -> list[int]:
+def order_by_degree(degs: Sequence[int] | np.ndarray) -> list[int]:
     """Indices of a degree sequence by non-increasing degree, ties broken by
     ascending index."""
-    n = len(degs)
-    if n >= 4096:
-        import numpy as np
-
-        # lexsort: last key dominates, so sort by (-degree, id)
-        return np.lexsort((np.arange(n), -np.asarray(degs, dtype=np.int64))).tolist()
-    return sorted(range(n), key=lambda v: (-degs[v], v))
+    return np.argsort(-np.asarray(degs, dtype=np.int64), kind="stable").tolist()
 
 
 def evaluate(g: Graph, ordering: Ordering) -> CostReport:
     """Charge every edge min(position(u), position(v)) and report the profile."""
     if ordering.n != g.n:
         raise OrderingError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
-    position = ordering.position
-    r = [0] * g.n
-    total = 0
-    max_cost = 0
-    for u, v in g.edges:
-        c = position[u]
-        pv = position[v]
-        if pv < c:
-            c = pv
-        r[c - 1] += 1
-        total += c
-        if c > max_cost:
-            max_cost = c
-    return CostReport(r=tuple(r), total=total, max_cost=max_cost)
+    position = np.array(ordering.position, dtype=np.int64)
+    charge = np.minimum(position[g.eu], position[g.ev])
+    r = np.bincount(charge - 1, minlength=g.n)
+    total, max_cost = int(charge.sum()), int(charge.max(initial=0))
+    return CostReport(r=tuple(r.tolist()), total=total, max_cost=max_cost)
 
 
 def is_feasible(inst: Instance, ordering: Ordering) -> bool:

@@ -9,9 +9,18 @@ Instance files are DIMACS-flavored::
 Ordering files hold n whitespace-separated 1-indexed vertex ids in position
 order.  Writers emit canonical text (sorted edges, no comments) so that
 write -> parse -> write round-trips bit-exactly.
+
+Both directions work in bulk on numpy arrays.  The parser classifies every
+byte with one translation table, checks the line structure on the positions
+of line breaks, 'e' records and numbers, and reads all endpoints with one
+``np.fromstring``; the line-by-line reader runs only on text that check
+rejects, to name the offending line.  The writers render the edge and
+vertex-id arrays digit by digit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .graph import Instance, Ordering, OrderingError, build_graph
 
@@ -20,15 +29,131 @@ class ParseError(ValueError):
     """Malformed instance or ordering text."""
 
 
+def _decimal_rows(values: np.ndarray, seps: bytes, prefix: bytes = b"") -> np.ndarray:
+    """ASCII bytes of the rows of a 2-D array of nonnegative ints: each row
+    is ``prefix``, then number j in decimal followed by the byte seps[j]."""
+    rows, cols = values.shape
+    widths = [len(str(int(values[:, j].max(initial=0)))) for j in range(cols)]
+    out = np.empty((rows, len(prefix) + sum(widths) + cols), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    out[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    base = len(prefix)
+    for j, width in enumerate(widths):
+        digits = np.empty((width, rows), dtype=np.uint8)
+        rest = values[:, j].copy()
+        for d in range(width - 1, -1, -1):
+            np.remainder(rest, 10, out=digits[d], casting="unsafe")
+            rest //= 10
+        digits += ord("0")
+        out[:, base : base + width] = digits.T
+        out[:, base + width] = seps[j]
+        # numbers are padded to the column's width; drop the leading zeros
+        keep[:, base : base + width - 1] = np.logical_or.accumulate(digits[:-1] != ord("0")).T
+        base += width + 1
+    return out[keep]
+
+
 def write_instance(inst: Instance) -> str:
     g = inst.graph
-    lines = [f"p msvc {g.n} {g.m} {inst.k} {inst.w}"]
-    for u, v in g.edges:
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+    body = _decimal_rows(np.column_stack((g.eu, g.ev)) + 1, b" \n", prefix=b"e ")
+    return f"p msvc {g.n} {g.m} {inst.k} {inst.w}\n" + body.tobytes().decode("ascii")
+
+
+# Byte classes of the bulk parser: in-line whitespace, line breaks (those
+# of str.splitlines), digits, 'e', and everything else.
+_SPACE, _BREAK, _DIGIT, _E, _OTHER = range(5)
+_CLASS = bytes(
+    _SPACE if c in b" \t\x1f"
+    else _BREAK if c in b"\n\r\x0b\x0c\x1c\x1d\x1e"
+    else _DIGIT if c in b"0123456789"
+    else _E if c == ord("e")
+    else _OTHER
+    for c in range(256)
+)
+# keeps digits and turns every other byte into a space
+_DIGITS = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
 
 
 def parse_instance(text: str) -> Instance:
+    """Parse instance text.
+
+    The whole text is checked and decoded in bulk with numpy; only text the
+    bulk check rejects goes through the line-by-line reader, which names the
+    offending line (or reads the rare forms the bulk check leaves to it,
+    such as non-ASCII whitespace or a '+' sign)."""
+    parsed = _parse_bulk(text)
+    if parsed is None:
+        parsed = _parse_lines(text)
+    n, edges, k, w = parsed
+    try:
+        graph = build_graph(n, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return Instance(graph=graph, w=w, k=k)
+
+
+def _parse_bulk(text: str):
+    """(n, (m, 2) edge array, k, w), or None when the text is not one header
+    line, comment lines, blank lines and exactly m edge lines of decimal
+    endpoints in 1..n, in that order."""
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    cls = np.frombuffer(bytearray(data.translate(_CLASS)), dtype=np.uint8)
+    breaks = np.flatnonzero(cls == _BREAK)
+    # line i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
+    bounds = np.concatenate(([-1], breaks, [len(data)]))
+    blanked = []
+    # every line that is not an edge line holds a byte of class _OTHER
+    header = None
+    for line in np.unique(np.searchsorted(breaks, np.flatnonzero(cls == _OTHER))).tolist():
+        start, end = int(bounds[line]) + 1, int(bounds[line + 1])
+        parts = data[start:end].decode().split()
+        if parts[0] == "p" and header is None and len(parts) == 6 and parts[1] == "msvc":
+            if not all(x.isdigit() for x in parts[2:]):
+                return None
+            header = (end, [int(x) for x in parts[2:]])
+        elif not parts[0].startswith("c"):
+            return None
+        cls[start:end] = _SPACE
+        blanked.append((start, end))
+    if header is None:
+        return None
+    header_end, (n, m, k, w) = header
+    is_digit = cls == _DIGIT
+    numbers = np.flatnonzero(is_digit[1:] & ~is_digit[:-1]) + 1
+    es = np.flatnonzero(cls == _E)
+    if es.size != m or numbers.size != 2 * m or is_digit[0]:
+        return None
+    if not m:
+        return n, np.empty((0, 2), dtype=np.int64), k, w
+    # each 'e' stands alone after a space or break and is followed on its
+    # line by exactly two numbers; the next 'e' starts a later line
+    line_end = bounds[np.searchsorted(breaks, es) + 1]
+    if not (
+        es[0] > header_end
+        and es[-1] + 1 < len(data)
+        and (cls[es - 1] <= _BREAK).all()
+        and (cls[es + 1] == _SPACE).all()
+        and (es < numbers[0::2]).all()
+        and (numbers[1::2] < line_end).all()
+        and (line_end[:-1] < es[1:]).all()
+    ):
+        return None
+    # an endpoint too large for int64 reads as its maximum, outside 1..n
+    digits = bytearray(data.translate(_DIGITS))
+    for start, end in blanked:
+        digits[start:end] = b" " * (end - start)
+    values = np.fromstring(bytes(digits), dtype=np.int64, sep=" ")
+    if values.size != 2 * m or values.min() < 1 or values.max() > n:
+        return None
+    return n, values.reshape(m, 2) - 1, k, w
+
+
+def _parse_lines(text: str):
+    """(n, edge list, k, w) read line by line; raises ParseError naming the
+    first offending line."""
     n = m = k = w = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,15 +192,16 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("missing 'p msvc' header")
     if len(edges) != m:
         raise ParseError(f"header declares m={m} edges, found {len(edges)}")
-    try:
-        graph = build_graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return Instance(graph=graph, w=w, k=k)
+    return n, edges, k, w
 
 
 def write_ordering(ordering: Ordering) -> str:
-    return " ".join(str(v + 1) for v in ordering.sequence) + "\n"
+    n = ordering.n
+    if not n:
+        return "\n"
+    text = _decimal_rows(np.array(ordering.sequence, dtype=np.int64)[:, None] + 1, b" ")
+    text[-1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def parse_ordering(text: str, n: int) -> Ordering:

@@ -61,11 +61,9 @@ def _charge_batches(g: Graph):
     """Every ordering of a graph with edges, batched: yields (seqs, totals,
     maxes), where row i of ``seqs`` is an ordering whose total charge is
     totals[i] and whose largest single charge is maxes[i]."""
-    uu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    vv = np.array([v for _, v in g.edges], dtype=np.int64)
     for seqs in _perm_batches(g.n):
         pos = np.argsort(seqs, axis=1) + 1
-        costs = np.minimum(pos[:, uu], pos[:, vv])
+        costs = np.minimum(pos[:, g.eu], pos[:, g.ev])
         yield seqs, costs.sum(axis=1), costs.max(axis=1)
 
 

@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,64 @@ def test_library_has_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+def reference_build(n, edge_list):
+    """The list-based construction the array core replaced: (edges, adj,
+    degrees), or the GraphError message of the first offending edge."""
+    normalized = []
+    for u, v in edge_list:
+        if not (0 <= u < n) or not (0 <= v < n):
+            return f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        normalized.append((u, v) if u < v else (v, u))
+    normalized.sort()
+    for i in range(1, len(normalized)):
+        if normalized[i] == normalized[i - 1]:
+            return f"duplicate edge {normalized[i]}"
+    neighbors = [[] for _ in range(n)]
+    for u, v in normalized:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return tuple(normalized), tuple(map(tuple, neighbors)), tuple(map(len, neighbors))
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Vertex counts with edge lists that mix valid edges, out-of-range
+    endpoints, self-loops and duplicates."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    wide = draw(st.booleans())
+    endpoint = st.integers(min_value=-2, max_value=n + 1) if wide else st.integers(0, max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(endpoint, endpoint), max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_edge_lists())
+def test_build_graph_matches_reference(case):
+    n, pairs = case
+    want = reference_build(n, pairs)
+    for edge_input in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        try:
+            g = build_graph(n, edge_input)
+        except GraphError as exc:
+            assert str(exc) == want
+        else:
+            assert (g.edges, g.adj, g.degrees) == want
+            assert g.m == len(g.edges) and g.deg.tolist() == list(g.degrees)
+
+
+def test_build_graph_endpoint_beyond_int64():
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) has an endpoint outside 0\.\.0"):
+        build_graph(1, [(0, 1), (2**70, 0)])
+    with pytest.raises(GraphError, match=r"edge \(1, 36893488147419103232\)"):
+        build_graph(3, [(0, 1), (1, 2**65)])
+
+
+def test_graph_value_equality():
+    a = build_graph(4, [(2, 3), (0, 1)])
+    b = build_graph(4, np.array([[1, 0], [3, 2]]))
+    assert a == b and hash(a) == hash(b)
+    assert a != build_graph(5, [(0, 1), (2, 3)])
+    assert Instance(a, w=3, k=2) == Instance(b, w=3, k=2)

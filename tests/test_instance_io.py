@@ -1,17 +1,23 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvc import (
+    GeneratorSpec,
     Instance,
     Ordering,
     ParseError,
     build_graph,
+    generate,
     parse_instance,
     parse_ordering,
     write_instance,
     write_ordering,
 )
+
+from msvc import instance_io
 
 from conftest import p3
 
@@ -89,3 +95,135 @@ def test_roundtrip_bit_exact(inst):
     text = write_instance(inst)
     assert parse_instance(text) == inst
     assert write_instance(parse_instance(text)) == text
+
+
+# ---------------------------------------------------------------- pins
+
+# (text, outcome) as produced before parsing moved to numpy: ("error",
+# message) for a rejected text, ("ok", n, edges, k, w) for an accepted one
+PARSE_PINS = [
+    ('e 1 2\n', ('error', 'line 1: edge before header')),
+    ('p msvc 2 1 1\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
+    ('p other 2 1 1 3\ne 1 2\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
+    ('p msvc 2 2 1 3\ne 1 2\n', ('error', 'header declares m=2 edges, found 1')),
+    ('p msvc 2 1 1 3\ne 1 3\n', ('error', 'line 2: endpoint outside 1..2')),
+    ('p msvc 2 1 1 3\ne 1 1\n', ('error', 'self-loop at vertex 0')),
+    ('p msvc 2 2 1 3\ne 1 2\ne 2 1\n', ('error', 'duplicate edge (0, 1)')),
+    ('p msvc 2 1 -1 3\ne 1 2\n', ('error', 'line 1: negative k or w')),
+    ('p msvc 2 1 1 3\nq 1 2\n', ('error', "line 2: unknown record 'q'")),
+    ('p msvc 2 1 1 3\ne 1 2\np msvc 2 1 1 3\n', ('error', 'line 3: duplicate header')),
+    ('p msvc 3 1 1 3\ne 1 x\n', ('error', 'line 2: non-integer endpoint')),
+    ('p msvc 3 1 1 3\ne 1 2 3\n', ('error', "line 2: expected 'e <u> <v>'")),
+    ('p msvc 3 1 1 3\ne -1 2\n', ('error', 'line 2: endpoint outside 1..3')),
+    ('p msvc 3 2 1 3\ne 1 2\nc between edges\ne 2 3\n', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
+    ('p msvc 3 2 1 3\ne 1 2\n\ne 2 3\n', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
+    ('p\tmsvc 3 2 1 3\ne\t1\t2\n\te 2\t 3\t\n', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
+    ('p msvc 3 2 1 3\r\ne 1 2\r\ne 2 3\r\n', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
+    ('p msvc 3 2 1 3\ne 1 2\ne 2 3', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
+    ('p msvc 3 1 1 3\ne 01 2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('c top\n  c indented\np msvc 4 3 2 9\ne 4 1\ne 3 1\ne 2 1\n', ('ok', 4, ((0, 1), (0, 2), (0, 3)), 2, 9)),
+    ('p msvc 3 2 1 3\ne 1 2\ne 1 2\n', ('error', 'duplicate edge (0, 1)')),
+    ('p msvc 3 2 1 3\ne 2 2\ne 1 5\n', ('error', 'line 3: endpoint outside 1..3')),
+    ('p msvc 3 1 1 3\ne 1 2\ne 2 3\n', ('error', 'header declares m=1 edges, found 2')),
+    ('p msvc 3 1 1 3\n', ('error', 'header declares m=1 edges, found 0')),
+    ('', ('error', "missing 'p msvc' header")),
+    ('p msvc 0 0 0 0\n', ('ok', 0, (), 0, 0)),
+    ('p msvc 3 1 1 x\ne 1 2\n', ('error', 'line 1: non-integer header field')),
+    ('p msvc 3 1 1 3\nee 1 2\n', ('error', "line 2: unknown record 'ee'")),
+    ('p msvc 3 1 1 3\ne 1 2e\n', ('error', 'line 2: non-integer endpoint')),
+    ('p msvc 3 1 1 3\ne 12\n', ('error', "line 2: expected 'e <u> <v>'")),
+    ('p msvc 3 1 1 3\ne +1 2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 12 1 1 3\ne 1_0 2\n', ('ok', 12, ((1, 9),), 1, 3)),
+    ('p msvc 3 1 1 3\x0be 1 2\x0c', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\ne 1\x1f2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\ne 1 2\x85', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\ne 99999999999999999999 2\n', ('error', 'line 2: endpoint outside 1..3')),
+    ('p msvc 3 1 1 3\ne 0000000000000000000001 2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\ncomment without space\ne 2 3\n', ('ok', 3, ((1, 2),), 1, 3)),
+    ('p msvc 3 1 1 3\ne 3 2 c\n', ('error', "line 2: expected 'e <u> <v>'")),
+    ('p msvc 3 1 1 3\ne\n', ('error', "line 2: expected 'e <u> <v>'")),
+    ('p msvc 3 1 1 3\n1 2\n', ('error', "line 2: unknown record '1'")),
+    ('p msvc 3 1 1 3 e 1 2\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
+    ('p msvc 03 01 1 3\ne 1 2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 0 1 3\n\n\nc\n', ('ok', 3, (), 1, 3)),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_PINS)
+def test_parse_instance_pinned(text, expected):
+    try:
+        inst = parse_instance(text)
+    except ParseError as exc:
+        got = ("error", str(exc))
+    else:
+        got = ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w)
+    assert got == expected
+
+
+def test_parse_pins_cover_every_rejected_case():
+    pinned = {text for text, _ in PARSE_PINS}
+    cases = test_parse_instance_rejects.pytestmark[0].args[1]
+    assert set(cases) <= pinned
+
+
+# (family, params, seed, k, w, sha256 of write_instance) computed before
+# the writers moved to numpy
+WRITE_PINS = [
+    ('gnp', (30, 0.3), 5, 4, 77, "6bf3eb74c58e1d10cfe3ac7195201f837fe01489b2142d2596dc092e4f68d030"),
+    ('star', (50,), 0, 2, 60, "59a666e8fad1ed41d155ea448d6a9afc07e301eda9cb8b81491226cec573fccc"),
+    ('double_star', (5, 7), 0, 3, 20, "1a684543b268b8b422fdda896ab93e1522f8be852d8caf2c9d0d5cd899dad1f0"),
+    ('claw_chain', (6,), 0, 7, 60, "60c8fadf82d75ddc89684b64cb9530693a5f7201474fe2ac1b3512c0c391e3d1"),
+    ('random_regular', (20, 3), 2, 6, 100, "df4d52314a5dadd59d4dd88c419f388e6585002d07685dfda0122fdffef9e044"),
+]
+
+
+@pytest.mark.parametrize("family,params,seed,k,w,digest", WRITE_PINS)
+def test_write_instance_pinned(family, params, seed, k, w, digest):
+    g = generate(GeneratorSpec(family, params, seed))
+    text = write_instance(Instance(g, w=w, k=k))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert parse_instance(text) == Instance(g, w=w, k=k)
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance texts in every spelling the format allows (comments, blank
+    lines, tabs, CR, vertical tabs, leading zeros), some with a defect."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    ids = st.integers(min_value=0, max_value=n + 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    space = st.sampled_from([" ", "\t", "  ", "\x1f", " \t"])
+    pad = st.sampled_from(["", " ", "\t"])
+    zeros = st.sampled_from(["", "0", "00"])
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    header = "".join(draw(space) + str(x) for x in (n, m, 1, 5))
+    lines = [draw(pad) + "p" + draw(space) + "msvc" + header]
+    for u, v in pairs:
+        u, v = draw(zeros) + str(u), draw(zeros) + str(v)
+        lines.append(draw(pad) + "e" + draw(space) + u + draw(space) + v + draw(pad))
+    extras = ["", "c note 1 2", "cfoo e 3", "  c", "e 1", "e 1 2 3", "x 1 2", "e +1 2", "e 1 a"]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(extras)))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts())
+def test_bulk_parse_matches_line_reader(text):
+    """Whatever the bulk decoder accepts, the line-by-line reader reads the
+    same way; whatever the reader rejects, the bulk decoder rejects too."""
+    bulk = instance_io._parse_bulk(text)
+    try:
+        n, edges, k, w = instance_io._parse_lines(text)
+    except ParseError:
+        assert bulk is None
+        return
+    if bulk is not None:
+        assert (bulk[0], bulk[1].tolist(), bulk[2], bulk[3]) == (n, [list(e) for e in edges], k, w)
+
+
+def test_written_text_takes_the_bulk_path():
+    g = generate(GeneratorSpec("gnp", (30, 0.3), 5))
+    assert instance_io._parse_bulk(write_instance(Instance(g, w=77, k=4))) is not None

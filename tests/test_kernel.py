@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,3 +325,127 @@ def test_rule2_without_big_gap_raises_invariant_error():
     work = _WorkGraph(p3())
     with pytest.raises(InvariantError):
         _apply_rule2(work, [1, 0, 2], 1, 1)
+
+
+# ---------------------------------------------------------------- pins
+
+def _hub_with_noise(rng):
+    """1-3 hubs with private and shared leaves, pendant noise and shuffled
+    labels; at most 60 vertices."""
+    hubs = rng.randint(1, 3)
+    edges = []
+    n = hubs
+    for h in range(hubs):
+        for _ in range(rng.randint(0, 14)):
+            edges.append((h, n))
+            n += 1
+    for _ in range(rng.randint(0, 5) if hubs > 1 else 0):
+        a, b = rng.sample(range(hubs), 2)
+        edges += [(a, n), (b, n)]
+        n += 1
+    for _ in range(rng.randint(0, 6)):
+        # pendant noise: a new leaf on any vertex, or an edge between leaves
+        if n > hubs + 1 and rng.random() < 0.4:
+            a, b = rng.sample(range(hubs, n), 2)
+            if (a, b) not in edges and (b, a) not in edges:
+                edges.append((a, b))
+        else:
+            edges.append((rng.randrange(n), n))
+            n += 1
+    n += rng.randint(0, 2)  # isolated vertices
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    return build_graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def kernel_pin_corpus():
+    """(graph, k, w) over seeded stars, double stars, hub graphs with pendant
+    noise (n <= 60) and gnp graphs (n <= 12), each at k = 0..6 with a loose
+    and a tight budget."""
+    from msvc import GeneratorSpec, generate
+
+    rng = random.Random(4242)
+    graphs = [star(leaves) for leaves in range(0, 45, 4)]
+    graphs += [
+        generate(GeneratorSpec("double_star", (p, q))) for p in (0, 3, 9, 20) for q in (1, 8, 30)
+    ]
+    graphs += [_hub_with_noise(rng) for _ in range(110)]
+    graphs += [
+        generate(GeneratorSpec("gnp", (n, (0.15, 0.3, 0.5)[i % 3]), 97 * n + i))
+        for n in range(1, 13)
+        for i in range(6)
+    ]
+    graphs.append(build_graph(3, [(0, 1)]))
+    for g in graphs:
+        for k in range(7):
+            for w in (k * g.m, k * g.m // 3):
+                yield g, k, w
+
+
+def _canon_step(step):
+    if isinstance(step, Rule2Record):
+        return ("r2", step.t, step.delta, step.removed_edges, step.w_delta)
+    return (
+        "r4",
+        step.p,
+        step.deleted_vertices,
+        step.added_synthetics,
+        tuple(step.moved_edge_counts.items()),
+    )
+
+
+def _canon_instance(inst):
+    return (inst.graph.n, inst.graph.edges, inst.w, inst.k)
+
+
+def kernel_pin_records():
+    """Every kernelize output and every standalone rule result on the pin
+    corpus, as plain tuples of ints."""
+    for g, k, w in kernel_pin_corpus():
+        inst = Instance(g, w=w, k=k)
+        out = kernelize(inst)
+        if isinstance(out, TrivialNo):
+            kern = ("no", out.rule)
+        else:
+            kern = (
+                _canon_instance(out.instance),
+                out.trace.vertex_map,
+                tuple(_canon_step(s) for s in out.trace.steps),
+            )
+        t = find_big_gap(inst)
+        rule2 = None
+        if t is not None:
+            try:
+                reduced, record = rule2_apply(inst, t)
+                rule2 = (_canon_instance(reduced), _canon_step(record))
+            except (ValueError, InvariantError):
+                rule2 = "raises"
+        reduced, record = rule4_apply(inst)
+        rule4 = (_canon_instance(reduced), None if record is None else _canon_step(record))
+        yield (g.n, g.edges, k, w), kern, rule1_check(inst), t, rule3_check(inst), rule2, rule4
+
+
+# sha256 of kernel_pin_records(), computed before the kernel moved to arrays
+KERNEL_PIN_DIGEST = "1deefe36415a8eff606fa7b5d2bf1e8ac8f4bcf8b48afd61290af41ca22e560c"
+
+
+def test_kernel_pinned():
+    h = hashlib.sha256()
+    fired = {"r2": 0, "r4": 0}
+    for record in kernel_pin_records():
+        h.update(repr(record).encode())
+        kern = record[1]
+        if kern[0] != "no":
+            for step in kern[2]:
+                fired[step[0]] += 1
+    assert fired["r2"] > 0 and fired["r4"] > 0
+    assert h.hexdigest() == KERNEL_PIN_DIGEST
+
+
+def test_rule2_apply_rejects_head_without_tail_edges():
+    # k = 0: the degree sequence (1, 1, 0) has its big gap at t = 2, but the
+    # head {0, 1} has no edge into the tail
+    inst = Instance(build_graph(3, [(0, 1)]), w=5, k=0)
+    assert find_big_gap(inst) == 2
+    with pytest.raises(ValueError, match="fewer than 1 edges into the tail"):
+        rule2_apply(inst, 2)
