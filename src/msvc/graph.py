@@ -152,15 +152,15 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     return Graph(n=n, eu=_readonly(eu), ev=_readonly(ev))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ordering:
     """Bijection between vertices and positions 1..n.
 
-    ``position[v]`` is the position of vertex v; ``sequence[i]`` is the vertex
-    at position i+1 (the exact inverse).
+    ``sequence[i]`` is the vertex at position i+1.  ``position[v]``, the
+    position of vertex v, is its exact inverse; it is built on each access,
+    so an ordering that is only kept or written holds one n-tuple.
     """
 
-    position: tuple[int, ...]
     sequence: tuple[int, ...]
 
     @staticmethod
@@ -173,7 +173,7 @@ class Ordering:
         # an id out of range leaves every position 0, a repeated one leaves one
         if n and position.min() == 0:
             raise OrderingError(f"sequence {list(seq)} is not a permutation of 0..{n - 1}")
-        return Ordering(position=tuple(position.tolist()), sequence=tuple(arr.tolist()))
+        return Ordering(sequence=tuple(arr.tolist()))
 
     @staticmethod
     def from_positions(position: Sequence[int]) -> "Ordering":
@@ -183,19 +183,25 @@ class Ordering:
             if not (1 <= p <= n) or sequence[p - 1] != -1:
                 raise OrderingError(f"positions {list(position)} are not a bijection onto 1..{n}")
             sequence[p - 1] = v
-        return Ordering(position=tuple(position), sequence=tuple(sequence))
+        return Ordering(sequence=tuple(sequence))
 
     @staticmethod
     def identity(n: int) -> "Ordering":
-        seq = tuple(range(n))
-        return Ordering(position=tuple(range(1, n + 1)), sequence=seq)
+        return Ordering(sequence=tuple(range(n)))
+
+    @property
+    def position(self) -> tuple[int, ...]:
+        position = [0] * len(self.sequence)
+        for i, v in enumerate(self.sequence, 1):
+            position[v] = i
+        return tuple(position)
 
     @property
     def n(self) -> int:
-        return len(self.position)
+        return len(self.sequence)
 
     def pos(self, v: int) -> int:
-        return self.position[v]
+        return self.sequence.index(v) + 1
 
     def at(self, position: int) -> int:
         return self.sequence[position - 1]
@@ -254,7 +260,8 @@ def evaluate(g: Graph, ordering: Ordering) -> CostReport:
     """Charge every edge min(position(u), position(v)) and report the profile."""
     if ordering.n != g.n:
         raise OrderingError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
-    position = np.array(ordering.position, dtype=np.int64)
+    position = np.empty(g.n, dtype=np.int64)
+    position[np.asarray(ordering.sequence, dtype=np.int64)] = np.arange(1, g.n + 1)
     charge = np.minimum(position[g.eu], position[g.ev])
     r = np.bincount(charge - 1, minlength=g.n)
     total, max_cost = int(charge.sum()), int(charge.max(initial=0))

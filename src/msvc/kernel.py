@@ -35,6 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .graph import (
+    CostReport,
     Graph,
     Instance,
     InvariantError,
@@ -376,17 +377,27 @@ def lift(trace: KernelTrace, kernel_ord: Ordering, original: Instance) -> Orderi
     """
     if trace.kernel_instance is None:
         raise LiftError("trace has no kernel instance attached")
+    kernel_total = evaluate(trace.kernel_instance.graph, kernel_ord).total
+    return lift_costed(trace, kernel_ord, original, kernel_total)[0]
+
+
+def lift_costed(
+    trace: KernelTrace, kernel_ord: Ordering, original: Instance, kernel_total: int
+) -> tuple[Ordering, CostReport]:
+    """``lift`` for a kernel ordering whose cost on the kernel graph the
+    caller has already verified to be ``kernel_total``.  Returns the lifted
+    ordering with its cost report on the original graph, so that neither
+    ordering is costed twice."""
     vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
     kept = vertex_map[np.asarray(kernel_ord.sequence, dtype=np.int64)]
     kept = kept[kept >= 0]
     rest = np.ones(trace.original_n, dtype=bool)
     rest[kept] = False
     lifted = Ordering.from_sequence(np.concatenate((kept, np.flatnonzero(rest))))
-    kernel_total = evaluate(trace.kernel_instance.graph, kernel_ord).total
-    lifted_total = evaluate(original.graph, lifted).total
-    if lifted_total != kernel_total + trace.w_offset:
+    report = evaluate(original.graph, lifted)
+    if report.total != kernel_total + trace.w_offset:
         raise LiftError(
-            f"lift mismatch: original cost {lifted_total} != kernel {kernel_total} "
+            f"lift mismatch: original cost {report.total} != kernel {kernel_total} "
             f"+ offset {trace.w_offset}"
         )
-    return lifted
+    return lifted, report

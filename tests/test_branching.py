@@ -1,6 +1,7 @@
 import hashlib
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,12 @@ from msvc import (
     enumerate_minimal_covers,
     evaluate,
     generate,
+    kernelize,
     score,
     subset_dp_optimal,
 )
 from msvc.branching import (
+    BLOCK_ROWS,
     _CoverTerms,
     _mapping_blocks,
     _Search,
@@ -263,22 +266,68 @@ def test_greedy_incumbent():
     assert greedy_incumbent(build_graph(4, []), 0) == 0
 
 
+def walked_mappings(g, k, cover):
+    """(row, bound, walked optimum) of every mapping of a cover, each walked
+    on its own."""
+    terms = _CoverTerms(g, cover)
+    for block, gaps in _mapping_blocks(k, cover.size):
+        base, bound, scores = terms.bounds(block, gaps, k)
+        cands, gains = terms.fill_order(scores, np.arange(len(block)))
+        for r, row in enumerate(block.tolist()):
+            search = _Search(g, k, None)
+            search.walk_mapping(
+                terms, row, int(base[r]), gaps[r].tolist(), cands[r].tolist(), gains[r].tolist()
+            )
+            yield row, int(bound[r]), search.best_cost
+
+
 def test_mapping_bound_never_exceeds_walked_optimum():
-    for g, k in ((claw_chain6(), 7), (double_star(), 3)):
-        for cover in enumerate_minimal_covers(g, k)[:3]:
-            terms = _CoverTerms(g, cover)
-            for block in _mapping_blocks(k, cover.size):
-                base, bound = terms.bounds(block, k)
-                for row, row_base, low in zip(block.tolist(), base.tolist(), bound.tolist()):
-                    search = _Search(g, k, None)
-                    search.walk_mapping(terms, row, row_base)
-                    assert low <= search.best_cost, (cover.sorted(), row)
+    gnp8_worst = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
+    # the double_star(40,40) kernel keeps many leaves with the same neighbor
+    twins = kernelize(Instance(generate(GeneratorSpec("double_star", (40, 40))), w=121, k=8))
+    cases = (
+        (claw_chain6(), 7, 3),
+        (double_star(), 3, 3),
+        (gnp8_worst, 8, 2),
+        (twins.instance.graph, 8, 3),
+    )
+    for g, k, first in cases:
+        for cover in enumerate_minimal_covers(g, k)[:first]:
+            for row, low, walked in walked_mappings(g, k, cover):
+                assert low <= walked, (cover.sorted(), row)
+
+
+def test_fill_order_matches_reference_scores():
+    """The batched per-vertex scores and candidate order at every gap equal
+    those of the reference ``score`` and ``candidate_set``."""
+    g, k = claw_chain6(), 7
+    checked = 0
+    for cover in enumerate_minimal_covers(g, k)[:3]:
+        terms = _CoverTerms(g, cover)
+        for block, gaps in _mapping_blocks(k, cover.size):
+            _, _, scores = terms.bounds(block, gaps, k)
+            rows = np.arange(0, len(block), 97)
+            cands, gains = terms.fill_order(scores, rows)
+            for j, r in enumerate(rows.tolist()):
+                placement = PartialPlacement()
+                for v, p in zip(terms.cover_list, block[r].tolist()):
+                    placement.place(p, v)
+                assert gaps[r].tolist() == [p for p in range(1, k + 1) if p not in placement.slots]
+                for p, order, gain in zip(gaps[r].tolist(), cands[j].tolist(), gains[j].tolist()):
+                    assert order == candidate_set(g, placement, p, g.n)
+                    assert gain == [score(g, placement, p, u) for u in order]
+                    checked += 1
+    assert checked > 0
 
 
 def test_mapping_blocks_enumerate_every_mapping_once():
-    for k, s in ((0, 0), (3, 0), (4, 2), (8, 8), (9, 5)):
-        rows = [tuple(r) for block in _mapping_blocks(k, s) for r in block.tolist()]
+    for k, s in ((0, 0), (3, 0), (4, 2), (7, 4), (8, 6), (8, 8), (9, 5)):
+        blocks = list(_mapping_blocks(k, s))
+        assert all(len(block) <= BLOCK_ROWS for block, _ in blocks)
+        rows = [tuple(r) for block, _ in blocks for r in block.tolist()]
         assert rows == list(permutations(range(1, k + 1), s))
+        gaps = [g for _, block_gaps in blocks for g in block_gaps.tolist()]
+        assert gaps == [[p for p in range(1, k + 1) if p not in row] for row in rows]
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -313,3 +362,54 @@ def test_witnesses_pinned():
             seq = None if r.best_ordering is None else r.best_ordering.sequence
             h.update(repr((n, i, k, r.best_cost, seq)).encode())
     assert h.hexdigest() == WITNESS_DIGEST
+
+
+def complete(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def tie_corpus():
+    """Graphs where many mappings and fills tie, each with its values of k.
+    claw_chain(3) and claw_chain(4) stop at k = 8: above it one solve bounds
+    millions of mappings (3.1 million for claw_chain(4) at k = 9)."""
+    for n in range(1, 9):
+        yield f"K{n}", complete(n), range(n + 1)
+    for n in range(4, 9):
+        yield f"C{n}", generate(GeneratorSpec("cycle", (n,))), range(n + 1)
+    for a, b in ((2, 3), (3, 4)):
+        yield f"K{a},{b}", complete_bipartite(a, b), range(a + b + 1)
+    for c in range(2, 5):
+        g = generate(GeneratorSpec("claw_chain", (c,)))
+        yield f"claw{c}", g, range(min(g.n, 8) + 1)
+    for p in range(3, 7):
+        for q in range(3, 7):
+            yield f"ds{p},{q}", generate(GeneratorSpec("double_star", (p, q))), range(5)
+
+
+# sha256 of every (cost, witness) of the tie corpus, as computed by the
+# solver that walked every tie
+TIE_WITNESS_DIGEST = "0fb750bf9ee933dc9bd14bb7709fa43b8134fc711f92f0cb3d8422ec45385e57"
+
+
+def test_tie_witnesses_pinned():
+    h = hashlib.sha256()
+    for name, g, ks in tie_corpus():
+        for k in ks:
+            inst = Instance(g, w=k * g.m, k=k)
+            for r in (branch_solve(inst), solve(inst)):
+                seq = None if r.best_ordering is None else r.best_ordering.sequence
+                h.update(repr((name, k, r.best_cost, seq)).encode())
+    assert h.hexdigest() == TIE_WITNESS_DIGEST
+
+
+def test_complete_graph_walks_one_branch():
+    # every mapping ties; walking all of them made 362,880 branches
+    r = branch_solve(Instance(complete(9), w=120, k=8))
+    assert r.decision and r.best_cost == 120
+    assert r.best_ordering.sequence == tuple(range(9))
+    assert r.stats.branches == 1
+    assert r.stats.mappings_tried == 362_880 and r.stats.mappings_cut == 362_879

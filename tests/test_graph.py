@@ -88,6 +88,16 @@ def test_evaluate_rejects_non_bijection():
         evaluate(p3(), Ordering.identity(4))
 
 
+def test_ordering_position_is_inverse_of_sequence():
+    o = Ordering.from_sequence([2, 0, 3, 1])
+    assert o.position == (2, 4, 1, 3)
+    assert [o.pos(v) for v in range(4)] == [2, 4, 1, 3]
+    assert [o.at(p) for p in range(1, 5)] == [2, 0, 3, 1]
+    assert Ordering.from_positions(o.position) == o and o.n == 4
+    assert Ordering.identity(3).position == (1, 2, 3)
+    assert Ordering.identity(0).position == ()
+
+
 def test_is_feasible_examples():
     inst = Instance(p3(), w=2, k=1)
     assert is_feasible(inst, Ordering.from_sequence([1, 0, 2]))
