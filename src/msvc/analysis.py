@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .covers import _minimal_covers
 from .graph import Graph, Ordering, evaluate
 from .oracles import build_dp_table, optimal_covers
 
@@ -31,33 +32,12 @@ class BoundDomainError(ValueError):
 
 
 def vc_number(g: Graph) -> int:
-    """Exact minimum vertex cover size via bounded branching."""
-    if g.m == 0:
-        return 0
+    """Exact minimum vertex cover size: the smallest size at which the
+    minimal-cover search finds a cover.  The search stops at its first
+    cover, so graphs with many minimum covers do not enumerate them all."""
     limit = g.n if g.n <= VC_NUMBER_N_GUARD else VC_NUMBER_TAU_GUARD
-
-    def covers_within(edges: list[tuple[int, int]], budget: int) -> bool:
-        if not edges:
-            return True
-        if budget == 0:
-            return False
-        # a vertex covers at most max-degree edges
-        deg: dict[int, int] = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if len(edges) > budget * max(deg.values()):
-            return False
-        u, v = edges[0]
-        rest_u = [e for e in edges if u not in e]
-        if covers_within(rest_u, budget - 1):
-            return True
-        rest_v = [e for e in edges if v not in e]
-        return covers_within(rest_v, budget - 1)
-
-    edges = list(g.edges)
-    for size in range(0, limit + 1):
-        if covers_within(edges, size):
+    for size in range(limit + 1):
+        if next(_minimal_covers(g, size), None) is not None:
             return size
     raise AnalysisGuardError(
         f"vertex cover number exceeds {VC_NUMBER_TAU_GUARD} on a graph with n > {VC_NUMBER_N_GUARD}"

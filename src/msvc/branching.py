@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -58,22 +58,6 @@ from .kernel import Kernel, TrivialNo, kernelize, lift, lift_costed  # noqa: F40
 # positions of the first few cover vertices, so a cover's P(k, |S|) mappings
 # are never held at once.
 BLOCK_ROWS = 720
-
-
-@dataclass
-class PartialPlacement:
-    """Injective assignment of vertices to prefix positions 1..k."""
-
-    slots: dict[int, int] = field(default_factory=dict)  # position -> vertex
-    placed: set[int] = field(default_factory=set)
-
-    def place(self, position: int, vertex: int) -> None:
-        if position in self.slots:
-            raise ValueError(f"position {position} already occupied")
-        if vertex in self.placed:
-            raise ValueError(f"vertex {vertex} already placed")
-        self.slots[position] = vertex
-        self.placed.add(vertex)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,25 +88,6 @@ class SolveResult:
     best_ordering: Optional[Ordering]
     stats: SolveStats
     kernel_summary: Optional[dict] = None
-
-
-def score(g: Graph, placement: PartialPlacement, p: int, u: int) -> int:
-    """Sum of (j - p) over occupied positions j > p holding a neighbor of u."""
-    pos_of = {v: j for j, v in placement.slots.items()}
-    total = 0
-    for x in g.adj[u]:
-        j = pos_of.get(x, 0)
-        if j > p:
-            total += j - p
-    return total
-
-
-def candidate_set(g: Graph, placement: PartialPlacement, p: int, budget: int) -> list[int]:
-    """The ``budget`` unplaced vertices of highest score at p (ties by
-    ascending id); fewer if fewer vertices remain."""
-    unplaced = [u for u in range(g.n) if u not in placement.placed]
-    ranked = sorted(unplaced, key=lambda u: (-score(g, placement, p, u), u))
-    return ranked[: max(budget, 0)]
 
 
 def greedy_incumbent(g: Graph, k: int) -> Optional[int]:

@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from typing import Optional
 
 from .analysis import (
@@ -26,12 +27,7 @@ from .branching import solve
 from .covers import enumerate_minimal_covers
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import Instance, InvariantError, evaluate
-from .instance_io import (
-    ParseError,
-    parse_ordering,
-    read_instance,
-    write_instance,
-)
+from .instance_io import ParseError, read_instance, read_ordering, write_instance
 from .kernel import Kernel, LiftError, Rule2Record, Rule4Record, TrivialNo, kernelize
 from .oracles import (
     OracleGuardError,
@@ -51,6 +47,16 @@ def _ordering_json(ordering) -> list[int]:
     return [v + 1 for v in ordering.sequence]
 
 
+def _search_counts(stats) -> dict:
+    return {
+        "covers_enumerated": stats.covers_enumerated,
+        "mappings_tried": stats.mappings_tried,
+        "mappings_cut": stats.mappings_cut,
+        "branches": stats.branches,
+        "incumbent": stats.incumbent,
+    }
+
+
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     result = solve(inst, use_kernel=not args.no_kernel)
@@ -60,14 +66,7 @@ def cmd_solve(args) -> int:
         "max_cost": None,
         "ordering": None,
         "kernel": result.kernel_summary,
-        "stats": {
-            "covers_enumerated": result.stats.covers_enumerated,
-            "mappings_tried": result.stats.mappings_tried,
-            "mappings_cut": result.stats.mappings_cut,
-            "branches": result.stats.branches,
-            "incumbent": result.stats.incumbent,
-            "elapsed": result.stats.elapsed,
-        },
+        "stats": {**_search_counts(result.stats), "elapsed": result.stats.elapsed},
     }
     if result.best_ordering is not None:
         payload["max_cost"] = evaluate(inst.graph, result.best_ordering).max_cost
@@ -100,7 +99,7 @@ def cmd_kernelize(args) -> int:
                         "t": step.t,
                         "delta": step.delta,
                         "w_delta": step.w_delta,
-                        "removed_edges": [[u + 1, v + 1] for u, v in step.removed_edges],
+                        "removed_edges": (step.removed_edges + 1).tolist(),
                     }
                 )
             elif isinstance(step, Rule4Record):
@@ -108,7 +107,7 @@ def cmd_kernelize(args) -> int:
                     {
                         "rule": 4,
                         "p": step.p,
-                        "deleted_I": [v + 1 for v in step.deleted_vertices],
+                        "deleted_I": (step.deleted_vertices + 1).tolist(),
                         "added_x": len(step.added_synthetics),
                         "moved_edge_counts": {
                             str(v + 1): c for v, c in sorted(step.moved_edge_counts.items())
@@ -178,14 +177,11 @@ def cmd_gen(args) -> int:
 
 
 def _bench_corpus(args):
-    rng_seed = args.seed
-    sizes = range(args.n_min, args.n_max + 1)
+    """(index, spec, graph) of every gnp graph of a bench or analyze corpus."""
     idx = 0
-    for n in sizes:
-        for rep in range(args.per_size):
-            spec = GeneratorSpec(
-                family="gnp", params=(n, args.p), seed=rng_seed + idx
-            )
+    for n in range(args.n_min, args.n_max + 1):
+        for _ in range(args.per_size):
+            spec = GeneratorSpec(family="gnp", params=(n, args.p), seed=args.seed + idx)
             yield idx, spec, generate(spec)
             idx += 1
 
@@ -207,11 +203,7 @@ def cmd_bench(args) -> int:
                 "k": k,
                 "kernel_n": (result.kernel_summary or {}).get("n"),
                 "kernel_m": (result.kernel_summary or {}).get("m"),
-                "covers_enumerated": result.stats.covers_enumerated,
-                "mappings_tried": result.stats.mappings_tried,
-                "mappings_cut": result.stats.mappings_cut,
-                "branches": result.stats.branches,
-                "incumbent": result.stats.incumbent,
+                **_search_counts(result.stats),
                 "time_ms": round(elapsed_ms, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,
@@ -221,28 +213,25 @@ def cmd_bench(args) -> int:
                 oracle = brute_force_optimal(g, k)
                 row["oracle_cost"] = None if oracle is None else oracle[0]
             rows.append(row)
+    return _emit_rows(rows, args.csv)
+
+
+def _emit_rows(rows: list[dict], csv_path: Optional[str]) -> int:
+    """Print each row as a JSON line and, given a path, write them as CSV."""
     for row in rows:
         print(json.dumps(row))
-    if args.csv:
-        _write_csv(args.csv, rows)
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            if rows:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
     return EXIT_YES
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def cmd_verify(args) -> int:
     inst = read_instance(args.instance)
-    with open(args.ordering, "r", encoding="utf-8") as fh:
-        ordering = parse_ordering(fh.read(), inst.graph.n)
+    ordering = read_ordering(args.ordering, inst.graph.n)
     report = evaluate(inst.graph, ordering)
     feasible = report.max_cost <= inst.k and report.total <= inst.w
     payload = {
@@ -261,50 +250,41 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     rows = []
-    idx = 0
-    for n in range(args.n_min, args.n_max + 1):
-        for rep in range(args.per_size):
-            spec = GeneratorSpec(family="gnp", params=(n, args.p), seed=args.seed + idx)
-            g = generate(spec)
-            idx += 1
-            row = {
-                "graph_id": f"gnp-{n}-{spec.seed}",
-                "n": g.n,
-                "m": g.m,
-            }
-            try:
-                tau = vc_number(g)
-                opt_cost, min_max = min_max_cost_over_optima(g)
-            except AnalysisGuardError as exc:
-                row["error"] = str(exc)
-                rows.append(row)
-                continue
-            row.update(tau=tau, opt_cost=opt_cost, min_max_cost=min_max)
-            row["gap_to_tau"] = min_max - tau
-            try:
-                bound = lemma1_bound(g.m, tau) if g.m else 0.0
-                row["bound"] = bound
-                row["bound_holds"] = min_max <= bound
-            except BoundDomainError:
-                row["bound"] = None
-                row["bound_holds"] = None
-            if g.n <= SUBSET_DP_GUARD:
-                answer = subset_dp_optimal(g, g.n)
-                if answer is not None:
-                    audit = structural_audit(
-                        g, g.n, answer[1], is_optimal=True, tau=tau
-                    )
-                    row["audit_prop1"] = audit.prop1.passed
-                    row["audit_lemma2i"] = audit.lemma2i.passed
-                    row["audit_lemma2ii"] = audit.lemma2ii.passed
-                    row["audit_lemma4"] = audit.lemma4.passed
-                    row["replacement_warning"] = audit.replacement_window.passed is False
+    for _, spec, g in _bench_corpus(args):
+        row = {
+            "graph_id": f"gnp-{g.n}-{spec.seed}",
+            "n": g.n,
+            "m": g.m,
+        }
+        try:
+            tau = vc_number(g)
+            opt_cost, min_max = min_max_cost_over_optima(g)
+        except AnalysisGuardError as exc:
+            row["error"] = str(exc)
             rows.append(row)
-    for row in rows:
-        print(json.dumps(row))
-    if args.csv:
-        _write_csv(args.csv, rows)
-    return EXIT_YES
+            continue
+        row.update(tau=tau, opt_cost=opt_cost, min_max_cost=min_max)
+        row["gap_to_tau"] = min_max - tau
+        try:
+            bound = lemma1_bound(g.m, tau) if g.m else 0.0
+            row["bound"] = bound
+            row["bound_holds"] = min_max <= bound
+        except BoundDomainError:
+            row["bound"] = None
+            row["bound_holds"] = None
+        if g.n <= SUBSET_DP_GUARD:
+            answer = subset_dp_optimal(g, g.n)
+            if answer is not None:
+                audit = structural_audit(
+                    g, g.n, answer[1], is_optimal=True, tau=tau
+                )
+                row["audit_prop1"] = audit.prop1.passed
+                row["audit_lemma2i"] = audit.lemma2i.passed
+                row["audit_lemma2ii"] = audit.lemma2ii.passed
+                row["audit_lemma4"] = audit.lemma4.passed
+                row["replacement_warning"] = audit.replacement_window.passed is False
+        rows.append(row)
+    return _emit_rows(rows, args.csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,6 +366,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         LiftError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # a bug, not bad input: report it with its traceback, but never
+        # with exit code 1, which means "no"
+        print(f"error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ERROR
 
 

@@ -100,11 +100,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.deg[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return v in self.adj[u]
-
 
 def _first_bad_edge(n: int, pairs: Iterable[tuple[int, int]]) -> GraphError:
     """The error for the first out-of-range or self-loop edge of pairs."""
@@ -247,13 +242,7 @@ class Instance:
 
 def sorted_by_degree(g: Graph) -> list[int]:
     """Vertices by non-increasing degree, ties broken by ascending id."""
-    return order_by_degree(g.deg)
-
-
-def order_by_degree(degs: Sequence[int] | np.ndarray) -> list[int]:
-    """Indices of a degree sequence by non-increasing degree, ties broken by
-    ascending index."""
-    return np.argsort(-np.asarray(degs, dtype=np.int64), kind="stable").tolist()
+    return np.argsort(-g.deg, kind="stable").tolist()
 
 
 def evaluate(g: Graph, ordering: Ordering) -> CostReport:

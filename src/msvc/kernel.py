@@ -23,13 +23,14 @@ of degree > k.  Rule 2 reads only the high-degree prefix of the degree
 order; per head vertex it finds the incident edges with one pass over the
 edge arrays, picks the tail edges with one stable sort by current degree,
 clears them in an alive-edge mask and lowers a degree array.  Rules 3 and 4
-are masks and bincounts, and compaction is an index remap.  Only the trace
-records hold Python tuples.
+are masks and bincounts, and compaction is an index remap.  The trace
+records hold the removed edges and the deleted vertices as read-only int64
+arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -40,9 +41,10 @@ from .graph import (
     Instance,
     InvariantError,
     Ordering,
+    _readonly,
     build_graph,
     evaluate,
-    order_by_degree,
+    sorted_by_degree,
 )
 
 
@@ -50,23 +52,35 @@ class LiftError(RuntimeError):
     """Lifted ordering failed cost re-verification on the original graph."""
 
 
-@dataclass(frozen=True)
-class Rule2Record:
-    """One degree-gap reduction: cut index t, gap delta, deleted edges and
-    the amount the budget dropped."""
+class _Record:
+    """Equality by value, field by field, array fields elementwise."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class Rule2Record(_Record):
+    """One degree-gap reduction: cut index t, gap delta, the deleted edges
+    as a read-only (r, 2) int64 array of (lo, hi) rows in the order rule 2
+    picked them, and the amount the budget dropped."""
 
     t: int
     delta: int
-    removed_edges: tuple[tuple[int, int], ...]
+    removed_edges: np.ndarray
     w_delta: int
 
 
-@dataclass(frozen=True)
-class Rule4Record:
-    """Replacement of the high-neighborhood-only vertex set I by p synthetics."""
+@dataclass(frozen=True, eq=False)
+class Rule4Record(_Record):
+    """Replacement of the high-neighborhood-only vertex set I (a read-only
+    ascending int64 array) by p synthetics."""
 
     p: int
-    deleted_vertices: tuple[int, ...]
+    deleted_vertices: np.ndarray
     added_synthetics: tuple[int, ...]
     moved_edge_counts: dict[int, int]
 
@@ -199,7 +213,7 @@ def _apply_rule2(
         if np.count_nonzero(tail) < need:
             raise error(f"head vertex {u} has fewer than {need} edges into the tail at t={t}")
         tails.append((u, ids[tail], xs[tail]))
-    removed: list[tuple[int, int]] = []
+    removed: list[np.ndarray] = []
     for u, ids, xs in tails:
         # xs ascend, so a stable sort by degree orders by (degree, id)
         pick = np.argsort(deg[xs], kind="stable")[:need]
@@ -207,9 +221,10 @@ def _apply_rule2(
         work.alive[ids] = False
         deg[xs] -= 1
         deg[u] -= need
-        removed += zip(np.minimum(xs, u).tolist(), np.maximum(xs, u).tolist())
+        removed.append(np.column_stack((np.minimum(xs, u), np.maximum(xs, u))))
     w_delta = (t * t + t) * need // 2
-    return Rule2Record(t=t, delta=delta, removed_edges=tuple(removed), w_delta=w_delta)
+    edges = _readonly(np.concatenate(removed))
+    return Rule2Record(t=t, delta=delta, removed_edges=edges, w_delta=w_delta)
 
 
 def rule2_apply(inst: Instance, t: int) -> tuple[Instance, Rule2Record]:
@@ -221,7 +236,7 @@ def rule2_apply(inst: Instance, t: int) -> tuple[Instance, Rule2Record]:
     if not 0 < t < g.n:
         raise ValueError(f"cut index t={t} is outside 1..{g.n - 1}")
     work = _WorkGraph(g)
-    record = _apply_rule2(work, np.asarray(order_by_degree(g.deg)), t, k, error=ValueError)
+    record = _apply_rule2(work, sorted_by_degree(g), t, k, error=ValueError)
     new_w = inst.w - record.w_delta
     if new_w < 0:
         raise ValueError("budget underflow; instance is a trivial no")
@@ -288,7 +303,7 @@ def _build_rule4(work: _WorkGraph, high: np.ndarray, iso: np.ndarray) -> Optiona
     n = high.size
     return Rule4Record(
         p=p,
-        deleted_vertices=tuple(np.flatnonzero(iso).tolist()),
+        deleted_vertices=_readonly(np.flatnonzero(iso)),
         added_synthetics=tuple(range(n, n + p)),
         moved_edge_counts=dict(zip(high_ids.tolist(), counts.tolist())),
     )

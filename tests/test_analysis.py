@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from msvc import (
+    AnalysisGuardError,
     BoundDomainError,
+    GeneratorSpec,
     Ordering,
     bound_report,
     build_graph,
     brute_force_optimal,
     evaluate,
+    generate,
     lemma1_bound,
     min_max_cost_over_optima,
     structural_audit,
@@ -44,6 +48,41 @@ def test_vc_guard_rejects_large_cover_on_big_graph():
     g = generate(GeneratorSpec("disjoint_edges", (25,)))  # n=50, tau=25
     with pytest.raises(AnalysisGuardError):
         vc_number(g)
+
+
+def _tau_by_subsets(g):
+    """Smallest vertex cover by scanning all 2^n vertex subsets."""
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    covers = np.ones(masks.size, dtype=bool)
+    for u, v in zip(g.eu.tolist(), g.ev.tolist()):
+        covers &= ((masks >> u) | (masks >> v)) & 1 == 1
+    return int(np.bitwise_count(masks[covers]).min())
+
+
+def test_vc_matches_subset_scan():
+    for n in range(1, 17):
+        for i, p in enumerate((0.1, 0.25, 0.45, 0.65, 0.9)):
+            g = generate(GeneratorSpec("gnp", (n, p), seed=31 * n + i))
+            assert vc_number(g) == _tau_by_subsets(g), (n, p)
+
+
+# (n, p, tau) of gnp(n, p) with seed n past the subset scan's reach; None
+# where tau exceeds the guard of 20 at n > 24.  Computed by the recursive
+# edge branching vc_number ran before it used the cover enumerator.
+VC_PINS = [
+    (25, 0.2, 15), (26, 0.3, 16), (30, 0.15, 15), (33, 0.1, 17), (36, 0.08, 18),
+    (40, 0.06, 15), (40, 0.1, None),
+]
+
+
+@pytest.mark.parametrize("n, p, tau", VC_PINS)
+def test_vc_pinned_beyond_subset_scan(n, p, tau):
+    g = generate(GeneratorSpec("gnp", (n, p), seed=n))
+    if tau is None:
+        with pytest.raises(AnalysisGuardError):
+            vc_number(g)
+    else:
+        assert vc_number(g) == tau
 
 
 # ------------------------------------------------------------- the bound

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -10,15 +11,12 @@ from msvc import (
     GeneratorSpec,
     Instance,
     Ordering,
-    PartialPlacement,
     build_graph,
     brute_force_optimal,
-    candidate_set,
     enumerate_minimal_covers,
     evaluate,
     generate,
     kernelize,
-    score,
     subset_dp_optimal,
 )
 from msvc.branching import (
@@ -32,6 +30,44 @@ from msvc.branching import (
 )
 
 from conftest import claw_chain6, double_star, p3, star, triangle
+
+
+# Reference helpers: a placement and the per-vertex fill score and candidate
+# order, written plainly, that the batched scores of the solver must match.
+
+@dataclass
+class PartialPlacement:
+    """Injective assignment of vertices to prefix positions 1..k."""
+
+    slots: dict[int, int] = field(default_factory=dict)  # position -> vertex
+    placed: set[int] = field(default_factory=set)
+
+    def place(self, position: int, vertex: int) -> None:
+        if position in self.slots:
+            raise ValueError(f"position {position} already occupied")
+        if vertex in self.placed:
+            raise ValueError(f"vertex {vertex} already placed")
+        self.slots[position] = vertex
+        self.placed.add(vertex)
+
+
+def score(g, placement: PartialPlacement, p: int, u: int) -> int:
+    """Sum of (j - p) over occupied positions j > p holding a neighbor of u."""
+    pos_of = {v: j for j, v in placement.slots.items()}
+    total = 0
+    for x in g.adj[u]:
+        j = pos_of.get(x, 0)
+        if j > p:
+            total += j - p
+    return total
+
+
+def candidate_set(g, placement: PartialPlacement, p: int, budget: int) -> list[int]:
+    """The ``budget`` unplaced vertices of highest score at p (ties by
+    ascending id); fewer if fewer vertices remain."""
+    unplaced = [u for u in range(g.n) if u not in placement.placed]
+    ranked = sorted(unplaced, key=lambda u: (-score(g, placement, p, u), u))
+    return ranked[: max(budget, 0)]
 
 
 def place_centers(cc):

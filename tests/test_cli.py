@@ -50,7 +50,7 @@ def test_solve_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("error", [InvariantError, LiftError])
+@pytest.mark.parametrize("error", [InvariantError, LiftError, TypeError])
 def test_solve_internal_error_exits_2(tmp_path, capsys, monkeypatch, error):
     def broken(inst, use_kernel=True):
         raise error("re-verification failed")
@@ -59,6 +59,8 @@ def test_solve_internal_error_exits_2(tmp_path, capsys, monkeypatch, error):
     code, out, err = run(capsys, ["solve", write_p3(tmp_path)])
     assert code == 2 and out == ""
     assert err.startswith("error: re-verification failed")
+    # only an unexpected exception, a bug, shows its traceback
+    assert ("Traceback (most recent call last)" in err) == (error is TypeError)
 
 
 def test_kernelize_writes_instance_and_trace(tmp_path, capsys):
