@@ -88,10 +88,18 @@ def min_max_cost_over_optima(g: Graph):
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The vertex cover number ``tau``, the edge count ``m``, the
+    unconstrained optimal total charge ``opt_cost`` and
+    ``observed_min_max_cost``, the smallest max charge among the orderings
+    attaining it.  ``bound`` is ``lemma1_bound(m, tau)`` and ``holds`` tells
+    whether that smallest max charge stays within it; outside the bound's
+    domain both are None."""
+
     tau: int
     m: int
-    bound: Optional[float]
+    opt_cost: int
     observed_min_max_cost: int
+    bound: Optional[float]
     holds: Optional[bool]
 
     @property
@@ -105,13 +113,10 @@ def bound_report(g: Graph) -> BoundReport:
     try:
         bound = lemma1_bound(g.m, tau)
     except BoundDomainError:
-        return BoundReport(tau=tau, m=g.m, bound=None, observed_min_max_cost=min_max, holds=None)
+        bound = None
+    holds = None if bound is None else min_max <= bound
     return BoundReport(
-        tau=tau,
-        m=g.m,
-        bound=bound,
-        observed_min_max_cost=min_max,
-        holds=min_max <= bound,
+        tau=tau, m=g.m, opt_cost=opt, observed_min_max_cost=min_max, bound=bound, holds=holds
     )
 
 

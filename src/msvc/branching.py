@@ -49,10 +49,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .graph import Graph, Instance, InvariantError, Ordering, evaluate
-from .covers import MinimalCover, enumerate_minimal_covers
-# lift stays importable as msvc.branching.lift, the name the benchmark's
-# tracer wraps
-from .kernel import Kernel, TrivialNo, kernelize, lift, lift_costed  # noqa: F401
+from .covers import enumerate_minimal_covers
+from .kernel import Kernel, TrivialNo, kernelize, lift
 
 # Largest number of mappings bounded in one numpy block.  Blocks fix the
 # positions of the first few cover vertices, so a cover's P(k, |S|) mappings
@@ -161,12 +159,10 @@ class _CoverTerms:
     """The parts of a mapping's cost and bound that depend on the cover
     alone."""
 
-    def __init__(self, g: Graph, cover: MinimalCover):
-        self.cover_list = sorted(cover.vertices)
-        self.non_cover = np.array(
-            [u for u in range(g.n) if u not in cover.vertices], dtype=np.intp
-        )
-        index = {v: i for i, v in enumerate(self.cover_list)}
+    def __init__(self, g: Graph, cover: tuple[int, ...]):
+        self.cover_list = list(cover)
+        index = {v: i for i, v in enumerate(cover)}
+        self.non_cover = np.array([u for u in range(g.n) if u not in index], dtype=np.intp)
         # edges with both ends in the cover pay min of the two positions;
         # every other edge pays the cover endpoint's position unless a fill
         # undercuts it
@@ -254,9 +250,9 @@ class _Search:
     """Shared state of one branch_solve: the cheapest cost and prefix found
     so far, the incumbent, and the counters."""
 
-    def __init__(self, g: Graph, k_eff: int, incumbent: Optional[int]):
+    def __init__(self, g: Graph, k: int, incumbent: Optional[int]):
         self.g = g
-        self.k_eff = k_eff
+        self.k = k
         self.incumbent = incumbent
         self.limit = math.inf if incumbent is None else incumbent
         self.best_cost: Optional[int] = None
@@ -289,12 +285,12 @@ class _Search:
                 keep[tie] = ~terms.sorts_after(block[rows[tie]], self.best_prefix)
         return rows[keep]
 
-    def explore(self, cover: MinimalCover) -> None:
+    def explore(self, cover: tuple[int, ...]) -> None:
         """Walk every mapping and fill of one cover that can still win."""
         terms = _CoverTerms(self.g, cover)
-        for block, gaps in _mapping_blocks(self.k_eff, len(terms.cover_list)):
+        for block, gaps in _mapping_blocks(self.k, len(terms.cover_list)):
             self.mappings += len(block)
-            base, bound, scores = terms.bounds(block, gaps, self.k_eff, self.limit)
+            base, bound, scores = terms.bounds(block, gaps, self.k, self.limit)
             rows = self._can_win(terms, block, bound, np.argsort(bound, kind="stable"))
             if rows.size:
                 # one batch for every row that may be walked; a walk only
@@ -323,13 +319,13 @@ class _Search:
         ``gaps[i]`` and ``gains[i]`` their scores, as ``bounds`` and
         ``fill_order`` give them.
         """
-        k_eff = self.k_eff
-        prefix = [-1] * k_eff
+        k = self.k
+        prefix = [-1] * k
         for v, p in zip(terms.cover_list, positions):
             prefix[p - 1] = v
         budget = len(gaps)
         # once gap i is filled, positions 1..ends[i] are all fixed
-        ends = [p - 1 for p in gaps[1:]] + [k_eff]
+        ends = [p - 1 for p in gaps[1:]] + [k]
         # can_save[i]: the most the fills of gaps i.. can save together
         can_save = [0] * (budget + 1)
         for i in range(budget - 1, -1, -1):
@@ -345,7 +341,7 @@ class _Search:
                 return
             # position k itself never carries a charge once the cover is
             # placed, so it takes just the top candidate instead of branching
-            cap = 1 if gaps[i] == k_eff else budget
+            cap = 1 if gaps[i] == k else budget
             at, end = gaps[i] - 1, ends[i]
             taken = 0
             for u, sc in zip(cands[i], gains[i]):
@@ -378,9 +374,8 @@ def branch_solve(inst: Instance) -> SolveResult:
     <= k; remaining vertices are appended after position k in ascending id."""
     start = time.perf_counter()
     g, w, k = inst.graph, inst.w, inst.k
-    k_eff = min(k, g.n)
-    covers = enumerate_minimal_covers(g, k_eff)
-    search = _Search(g, k_eff, greedy_incumbent(g, k_eff))
+    covers = enumerate_minimal_covers(g, k)
+    search = _Search(g, k, greedy_incumbent(g, k))
     for cover in covers:
         search.explore(cover)
 
@@ -390,7 +385,7 @@ def branch_solve(inst: Instance) -> SolveResult:
         rest = [v for v in range(g.n) if v not in placed]
         best_ordering = Ordering.from_sequence(search.best_prefix + rest)
         report = evaluate(g, best_ordering)
-        if report.total != best_cost or report.max_cost > k_eff:
+        if report.total != best_cost or report.max_cost > k:
             raise InvariantError("branching witness failed re-verification")
     elif search.incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
@@ -411,12 +406,10 @@ def branch_solve(inst: Instance) -> SolveResult:
     )
 
 
-def solve(inst: Instance, use_kernel: bool = True) -> SolveResult:
-    """Kernelize, run the branching solver on the kernel, lift the witness
-    back to the original graph and re-verify it."""
+def solve(inst: Instance) -> SolveResult:
+    """Kernelize, run the branching solver on the kernel and lift the
+    witness back to the original graph, where ``lift`` re-verifies it."""
     start = time.perf_counter()
-    if not use_kernel:
-        return branch_solve(inst)
     outcome = kernelize(inst)
     if isinstance(outcome, TrivialNo):
         stats = SolveStats(0, 0, 0, time.perf_counter() - start)
@@ -441,16 +434,12 @@ def solve(inst: Instance, use_kernel: bool = True) -> SolveResult:
     incumbent = sub.stats.incumbent
     if incumbent is not None:
         incumbent += offset
-    if sub.best_cost is None:
-        stats = replace(sub.stats, elapsed=time.perf_counter() - start, incumbent=incumbent)
-        return SolveResult(False, None, None, stats, kernel_summary=summary)
-    # branch_solve has verified the kernel ordering's cost
-    lifted, report = lift_costed(outcome.trace, sub.best_ordering, inst, sub.best_cost)
-    total = sub.best_cost + offset
-    if report.total != total or report.max_cost > inst.k:
-        raise InvariantError("lifted ordering failed re-verification")
+    total = lifted = None
+    if sub.best_cost is not None:
+        lifted = lift(outcome.trace, sub.best_ordering, inst)
+        total = sub.best_cost + offset
     return SolveResult(
-        decision=total <= inst.w,
+        decision=total is not None and total <= inst.w,
         best_cost=total,
         best_ordering=lifted,
         stats=replace(sub.stats, elapsed=time.perf_counter() - start, incumbent=incumbent),

@@ -15,22 +15,14 @@ import time
 import traceback
 from typing import Optional
 
-from .analysis import (
-    AnalysisGuardError,
-    BoundDomainError,
-    lemma1_bound,
-    min_max_cost_over_optima,
-    structural_audit,
-    vc_number,
-)
-from .branching import solve
+from .analysis import AnalysisGuardError, bound_report, structural_audit
+from .branching import branch_solve, solve
 from .covers import enumerate_minimal_covers
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import Instance, InvariantError, evaluate
-from .instance_io import ParseError, read_instance, read_ordering, write_instance
+from .instance_io import read_instance, read_ordering, write_instance
 from .kernel import Kernel, LiftError, Rule2Record, Rule4Record, TrivialNo, kernelize
 from .oracles import (
-    OracleGuardError,
     BRUTE_FORCE_GUARD,
     SUBSET_DP_GUARD,
     brute_force_optimal,
@@ -59,7 +51,7 @@ def _search_counts(stats) -> dict:
 
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
-    result = solve(inst, use_kernel=not args.no_kernel)
+    result = (branch_solve if args.no_kernel else solve)(inst)
     payload = {
         "decision": "yes" if result.decision else "no",
         "total_cost": result.best_cost,
@@ -156,7 +148,7 @@ def cmd_oracle(args) -> int:
 def cmd_enum_mvc(args) -> int:
     inst = read_instance(args.instance)
     for cover in enumerate_minimal_covers(inst.graph, inst.k):
-        print(" ".join(str(v + 1) for v in cover.sorted()))
+        print(" ".join(str(v + 1) for v in cover))
     return EXIT_YES
 
 
@@ -194,7 +186,7 @@ def cmd_bench(args) -> int:
             w = k * g.m
             inst = Instance(graph=g, w=w, k=k)
             t0 = time.perf_counter()
-            result = solve(inst, use_kernel=not args.no_kernel)
+            result = (branch_solve if args.no_kernel else solve)(inst)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             row = {
                 "id": f"{spec.family}-{idx}-k{k}",
@@ -257,26 +249,24 @@ def cmd_analyze(args) -> int:
             "m": g.m,
         }
         try:
-            tau = vc_number(g)
-            opt_cost, min_max = min_max_cost_over_optima(g)
+            report = bound_report(g)
         except AnalysisGuardError as exc:
             row["error"] = str(exc)
             rows.append(row)
             continue
-        row.update(tau=tau, opt_cost=opt_cost, min_max_cost=min_max)
-        row["gap_to_tau"] = min_max - tau
-        try:
-            bound = lemma1_bound(g.m, tau) if g.m else 0.0
-            row["bound"] = bound
-            row["bound_holds"] = min_max <= bound
-        except BoundDomainError:
-            row["bound"] = None
-            row["bound_holds"] = None
+        row.update(
+            tau=report.tau,
+            opt_cost=report.opt_cost,
+            min_max_cost=report.observed_min_max_cost,
+            gap_to_tau=report.observed_min_max_cost - report.tau,
+            bound=report.bound,
+            bound_holds=report.holds,
+        )
         if g.n <= SUBSET_DP_GUARD:
             answer = subset_dp_optimal(g, g.n)
             if answer is not None:
                 audit = structural_audit(
-                    g, g.n, answer[1], is_optimal=True, tau=tau
+                    g, g.n, answer[1], is_optimal=True, tau=report.tau
                 )
                 row["audit_prop1"] = audit.prop1.passed
                 row["audit_lemma2i"] = audit.lemma2i.passed
@@ -356,15 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        OracleGuardError,
-        AnalysisGuardError,
-        ValueError,
-        OSError,
-        InvariantError,
-        LiftError,
-    ) as exc:
+    except (ValueError, OSError, InvariantError, LiftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -5,27 +5,15 @@ either take u, or permanently exclude u and take all of N(u).  Branches are
 pruned once the partial cover exceeds k, would need an excluded vertex, or
 leaves more uncovered edges than its remaining k - |cover| vertices can
 cover at the maximum degree each; leaves are filtered for minimality and
-deduplicated.  The scheme yields at most 2^k distinct covers.
+deduplicated.  The scheme yields at most 2^k distinct covers, each an
+ascending tuple of vertex ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Graph, is_vertex_cover
-
-
-@dataclass(frozen=True)
-class MinimalCover:
-    vertices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
 
 
 def is_minimal_cover(g: Graph, s) -> bool:
@@ -40,11 +28,12 @@ def _all_have_private_edges(g: Graph, cover: set[int]) -> bool:
     return all(any(x not in cover for x in g.adj[v]) for v in cover)
 
 
-def enumerate_minimal_covers(g: Graph, k: int) -> list[MinimalCover]:
-    """All minimal vertex covers of size <= k, sorted canonically."""
+def enumerate_minimal_covers(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """All minimal vertex covers of size <= k, each an ascending vertex
+    tuple, in sorted order."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return [MinimalCover(vertices=frozenset(t)) for t in sorted(set(_minimal_covers(g, k)))]
+    return sorted(set(_minimal_covers(g, k)))
 
 
 def _minimal_covers(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

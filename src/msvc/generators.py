@@ -17,13 +17,16 @@ from .graph import Graph, build_graph
 _PCG_MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 
+# whole-shuffle retries of the random_regular pairing before giving up
+REGULAR_ATTEMPTS = 2000
+
 
 class Pcg32:
     """Minimal permuted congruential generator, 32-bit output."""
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         self.state = 0
-        self.inc = ((stream << 1) | 1) & _MASK64
+        self.inc = 1
         self._step()
         self.state = (self.state + (seed & _MASK64)) & _MASK64
         self._step()
@@ -150,7 +153,7 @@ def _gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     return build_graph(n, edges)
 
 
-def _gen_random_regular(n: int, d: int, seed: int = 0, max_attempts: int = 2000) -> Graph:
+def _gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Configuration-model pairing with whole-shuffle retries on collisions."""
     if d < 0 or n < 0:
         raise ValueError("random_regular needs nonnegative n and d")
@@ -162,7 +165,7 @@ def _gen_random_regular(n: int, d: int, seed: int = 0, max_attempts: int = 2000)
         return build_graph(n, [])
     rng = Pcg32(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(REGULAR_ATTEMPTS):
         trial = stubs[:]
         rng.shuffle(trial)
         seen = set()
@@ -181,7 +184,7 @@ def _gen_random_regular(n: int, d: int, seed: int = 0, max_attempts: int = 2000)
             edges.append(key)
         if ok:
             return build_graph(n, edges)
-    raise ValueError(f"no simple {d}-regular pairing found after {max_attempts} attempts")
+    raise ValueError(f"no simple {d}-regular pairing found after {REGULAR_ATTEMPTS} attempts")
 
 
 def _gen_disjoint_edges(count: int, seed: int = 0) -> Graph:

@@ -8,7 +8,8 @@ A ``Graph`` is two read-only int64 arrays ``eu < ev`` in lexicographic
 order.  The degree array and the tuple views ``edges``, ``adj`` and
 ``degrees`` are computed on first use and cached, so a graph that is only
 parsed, kernelized and written never builds a Python object per edge.
-``Ordering`` keeps its position and sequence tuples.
+``Ordering`` keeps its sequence tuple and builds the inverse position
+tuple on each access.
 """
 
 from __future__ import annotations
@@ -147,6 +148,20 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     return Graph(n=n, eu=_readonly(eu), ev=_readonly(ev))
 
 
+def _permutation_error(arr: np.ndarray, n: int) -> OrderingError:
+    """The error for a sequence of n entries that is no permutation of
+    0..n-1, naming its first id that is out of range or repeats an earlier
+    one, and not the whole sequence."""
+    if arr.shape != (n,) or arr.dtype.kind not in "iu":
+        return OrderingError(f"sequence is not {n} integer vertex ids")
+    outside = (arr < 0) | (arr >= n)
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(arr, return_index=True)[1]] = True
+    i = int((outside | ~first).argmax())
+    why = f"is outside 0..{n - 1}" if outside[i] else "repeats an earlier id"
+    return OrderingError(f"vertex id {arr[i]} at position {i + 1} {why}")
+
+
 @dataclass(frozen=True, slots=True)
 class Ordering:
     """Bijection between vertices and positions 1..n.
@@ -167,7 +182,7 @@ class Ordering:
             position[arr] = np.arange(1, n + 1)
         # an id out of range leaves every position 0, a repeated one leaves one
         if n and position.min() == 0:
-            raise OrderingError(f"sequence {list(seq)} is not a permutation of 0..{n - 1}")
+            raise _permutation_error(arr, n)
         return Ordering(sequence=tuple(arr.tolist()))
 
     @staticmethod
@@ -175,8 +190,10 @@ class Ordering:
         n = len(position)
         sequence = [-1] * n
         for v, p in enumerate(position):
-            if not (1 <= p <= n) or sequence[p - 1] != -1:
-                raise OrderingError(f"positions {list(position)} are not a bijection onto 1..{n}")
+            if not 1 <= p <= n:
+                raise OrderingError(f"position {p} of vertex {v} is outside 1..{n}")
+            if sequence[p - 1] != -1:
+                raise OrderingError(f"position {p} of vertex {v} is already taken")
             sequence[p - 1] = v
         return Ordering(sequence=tuple(sequence))
 

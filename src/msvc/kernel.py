@@ -36,7 +36,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .graph import (
-    CostReport,
     Graph,
     Instance,
     InvariantError,
@@ -375,7 +374,7 @@ def kernelize(inst: Instance) -> KernelOutcome:
     if rule4 is not None:
         trace.steps.append(rule4)
     graph, vertex_map = _compact(work, iso, rule4)
-    kernel_inst = Instance(graph=graph, w=w, k=min(k, graph.n))
+    kernel_inst = Instance(graph=graph, w=w, k=k)
     trace.vertex_map = vertex_map
     trace.kernel_instance = kernel_inst
     return Kernel(instance=kernel_inst, trace=trace)
@@ -386,23 +385,15 @@ def lift(trace: KernelTrace, kernel_ord: Ordering, original: Instance) -> Orderi
 
     Synthetic vertices are dropped, surviving originals keep their relative
     order, and every remaining original vertex is appended in ascending id.
-    The result is re-costed on the original graph and must equal the kernel
-    cost plus the recorded budget offset; a mismatch means the kernel
-    ordering was not optimal or the trace is corrupt.
+    The result is re-costed once on the original graph.  Its total must
+    equal the kernel ordering's cost plus the recorded budget offset, and
+    its max charge must not exceed the original k; otherwise the kernel
+    ordering was not optimal or the trace is corrupt, and LiftError is
+    raised.
     """
     if trace.kernel_instance is None:
         raise LiftError("trace has no kernel instance attached")
     kernel_total = evaluate(trace.kernel_instance.graph, kernel_ord).total
-    return lift_costed(trace, kernel_ord, original, kernel_total)[0]
-
-
-def lift_costed(
-    trace: KernelTrace, kernel_ord: Ordering, original: Instance, kernel_total: int
-) -> tuple[Ordering, CostReport]:
-    """``lift`` for a kernel ordering whose cost on the kernel graph the
-    caller has already verified to be ``kernel_total``.  Returns the lifted
-    ordering with its cost report on the original graph, so that neither
-    ordering is costed twice."""
     vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
     kept = vertex_map[np.asarray(kernel_ord.sequence, dtype=np.int64)]
     kept = kept[kept >= 0]
@@ -415,4 +406,6 @@ def lift_costed(
             f"lift mismatch: original cost {report.total} != kernel {kernel_total} "
             f"+ offset {trace.w_offset}"
         )
-    return lifted, report
+    if report.max_cost > original.k:
+        raise LiftError(f"lifted max charge {report.max_cost} exceeds k = {original.k}")
+    return lifted

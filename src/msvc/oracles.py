@@ -9,7 +9,7 @@ witness sequence, or None when no vertex cover of size <= k exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 
 import numpy as np
 
@@ -44,17 +44,14 @@ class DpTable:
 
 
 def _perm_batches(n: int):
-    batch: list[int] = []
-    rows = 0
-    for perm in permutations(range(n)):
-        batch.extend(perm)
-        rows += 1
-        if rows == _CHUNK:
-            yield np.array(batch, dtype=np.int64).reshape(rows, n)
-            batch = []
-            rows = 0
-    if rows:
-        yield np.array(batch, dtype=np.int64).reshape(rows, n)
+    """Every permutation of range(n), in lexicographic order, as int64 rows
+    of at most _CHUNK at a time."""
+    perms = permutations(range(n))
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(perms, _CHUNK)), dtype=np.int64)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, n)
 
 
 def _charge_batches(g: Graph):
@@ -67,57 +64,46 @@ def _charge_batches(g: Graph):
         yield seqs, costs.sum(axis=1), costs.max(axis=1)
 
 
-def brute_force_optimal(g: Graph, k: int, guard: int = BRUTE_FORCE_GUARD):
+def brute_force_optimal(g: Graph, k: int):
     """Minimum total charge over all n! orderings with max charge <= k.
 
     Returns (cost, Ordering) with the lexicographically smallest optimal
     sequence, or None if no ordering satisfies the max-charge bound.
     """
     n = g.n
-    if n > guard:
-        raise OracleGuardError(f"brute force limited to n <= {guard}, got {n}")
+    if n > BRUTE_FORCE_GUARD:
+        raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
     k_eff = min(k, n)
-    if n == 0:
-        return 0, Ordering.from_sequence(())
     if g.m == 0:
         return 0, Ordering.identity(n)
-    best_total = None
-    best_seq = None
+    best = None
+    # permutations come in lexicographic order, so the first cheapest
+    # feasible row is the smallest optimal sequence
     for seqs, totals, maxes in _charge_batches(g):
-        feasible = maxes <= k_eff
-        if not feasible.any():
-            continue
-        masked = np.where(feasible, totals, np.iinfo(np.int64).max)
-        idx = int(np.argmin(masked))
-        total = int(masked[idx])
-        if best_total is None or total < best_total:
-            best_total = total
-            best_seq = tuple(int(x) for x in seqs[idx])
-    if best_total is None:
-        return None
-    return best_total, Ordering.from_sequence(best_seq)
+        feasible = np.flatnonzero(maxes <= k_eff)
+        if feasible.size:
+            idx = feasible[totals[feasible].argmin()]
+            if best is None or totals[idx] < best[0]:
+                best = int(totals[idx]), Ordering.from_sequence(seqs[idx])
+    return best
 
 
-def brute_force_profile(g: Graph, guard: int = BRUTE_FORCE_GUARD) -> list:
+def brute_force_profile(g: Graph) -> list:
     """best[c] = minimum total over orderings with max charge <= c, else None.
 
     One enumeration pass answers every k at once; index c runs 0..n.
     """
     n = g.n
-    if n > guard:
-        raise OracleGuardError(f"brute force limited to n <= {guard}, got {n}")
-    if n == 0 or g.m == 0:
+    if n > BRUTE_FORCE_GUARD:
+        raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
+    if g.m == 0:
         return [0] * (n + 1)
-    best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+    unset = np.iinfo(np.int64).max
+    best = np.full(n + 1, unset, dtype=np.int64)
     for _, totals, maxes in _charge_batches(g):
         np.minimum.at(best, maxes, totals)
     # min total over max charge <= c is the prefix minimum
-    out: list = []
-    running = np.iinfo(np.int64).max
-    for c in range(n + 1):
-        running = min(running, int(best[c]))
-        out.append(None if running == np.iinfo(np.int64).max else running)
-    return out
+    return [None if c == unset else c for c in np.minimum.accumulate(best).tolist()]
 
 
 def _adj_masks(g: Graph) -> np.ndarray:
@@ -146,11 +132,11 @@ def _transitions(value: np.ndarray, adj: np.ndarray, layer: np.ndarray, s: int):
         yield sub, prev, value[prev] + s * np.bitwise_count(nbrs & ~sub).astype(np.int32)
 
 
-def build_dp_table(g: Graph, k: int, guard: int = SUBSET_DP_GUARD) -> DpTable:
+def build_dp_table(g: Graph, k: int) -> DpTable:
     """Fill the prefix-placement table for all subsets of size <= min(k, n)."""
     n = g.n
-    if n > guard:
-        raise OracleGuardError(f"subset DP limited to n <= {guard}, got {n}")
+    if n > SUBSET_DP_GUARD:
+        raise OracleGuardError(f"subset DP limited to n <= {SUBSET_DP_GUARD}, got {n}")
     adj = _adj_masks(g)
     table = DpTable(value=np.full(1 << n, DP_UNFILLED, dtype=np.int32), popcount=_popcounts(n))
     value = table.value
@@ -180,7 +166,7 @@ def optimal_covers(g: Graph, table: DpTable, k: int):
     return opt, covers[values == opt]
 
 
-def subset_dp_optimal(g: Graph, k: int, guard: int = SUBSET_DP_GUARD):
+def subset_dp_optimal(g: Graph, k: int):
     """Subset DP optimum with max charge <= k; None when infeasible.
 
     The witness is the lexicographically smallest optimal sequence.  A
@@ -189,12 +175,8 @@ def subset_dp_optimal(g: Graph, k: int, guard: int = SUBSET_DP_GUARD):
     the smallest vertex whose placement keeps the prefix tight.
     """
     n = g.n
-    if n > guard:
-        raise OracleGuardError(f"subset DP limited to n <= {guard}, got {n}")
     k_eff = min(k, n)
-    if n == 0:
-        return 0, Ordering.from_sequence(())
-    table = build_dp_table(g, k, guard)
+    table = build_dp_table(g, k)
     found = optimal_covers(g, table, k_eff)
     if found is None:
         return None

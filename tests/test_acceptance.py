@@ -186,7 +186,7 @@ def test_criterion_5_minimal_cover_enumeration():
         for k in (0, 2, n // 2, n):
             covers = enumerate_minimal_covers(g, k)
             assert len(covers) <= 2**k
-            got = {c.vertices for c in covers}
+            got = {frozenset(c) for c in covers}
             want = set()
             for mask in range(1 << n):
                 if mask.bit_count() > k:

@@ -258,7 +258,7 @@ def test_exchange_property():
     for g, k in ((claw_chain6(), 7), (double_star(), 3), (p3(), 2)):
         k_eff = min(k, g.n)
         for cover in enumerate_minimal_covers(g, k_eff)[:3]:
-            cover_list = sorted(cover.vertices)
+            cover_list = sorted(cover)
             s = len(cover_list)
             budget = k_eff - s
             if budget == 0:
@@ -282,7 +282,7 @@ def test_exchange_property():
             seq = [placement.slots[p] for p in sorted(placement.slots)]
             seq += [v for v in range(g.n) if v not in placement.placed]
             base_total = evaluate(g, Ordering.from_sequence(seq)).total
-            tail = [v for v in seq[k_eff:] if v not in cover.vertices]
+            tail = [v for v in seq[k_eff:] if v not in cover]
             for p, (x, sx) in fills.items():
                 for y in tail:
                     sy = score(g, mapping, p, y)
@@ -306,7 +306,7 @@ def walked_mappings(g, k, cover):
     """(row, bound, walked optimum) of every mapping of a cover, each walked
     on its own."""
     terms = _CoverTerms(g, cover)
-    for block, gaps in _mapping_blocks(k, cover.size):
+    for block, gaps in _mapping_blocks(k, len(cover)):
         base, bound, scores = terms.bounds(block, gaps, k)
         cands, gains = terms.fill_order(scores, np.arange(len(block)))
         for r, row in enumerate(block.tolist()):
@@ -330,7 +330,7 @@ def test_mapping_bound_never_exceeds_walked_optimum():
     for g, k, first in cases:
         for cover in enumerate_minimal_covers(g, k)[:first]:
             for row, low, walked in walked_mappings(g, k, cover):
-                assert low <= walked, (cover.sorted(), row)
+                assert low <= walked, (cover, row)
 
 
 def test_fill_order_matches_reference_scores():
@@ -340,7 +340,7 @@ def test_fill_order_matches_reference_scores():
     checked = 0
     for cover in enumerate_minimal_covers(g, k)[:3]:
         terms = _CoverTerms(g, cover)
-        for block, gaps in _mapping_blocks(k, cover.size):
+        for block, gaps in _mapping_blocks(k, len(cover)):
             _, _, scores = terms.bounds(block, gaps, k)
             rows = np.arange(0, len(block), 97)
             cands, gains = terms.fill_order(scores, rows)

@@ -52,7 +52,7 @@ def test_solve_missing_file(capsys):
 
 @pytest.mark.parametrize("error", [InvariantError, LiftError, TypeError])
 def test_solve_internal_error_exits_2(tmp_path, capsys, monkeypatch, error):
-    def broken(inst, use_kernel=True):
+    def broken(inst):
         raise error("re-verification failed")
 
     monkeypatch.setattr(cli, "solve", broken)

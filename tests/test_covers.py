@@ -23,7 +23,7 @@ def brute_minimal_covers(g, k):
 
 
 def as_sets(covers):
-    return {c.vertices for c in covers}
+    return {frozenset(c) for c in covers}
 
 
 def test_p3_k2():
@@ -63,7 +63,7 @@ def test_is_minimal_cover_examples():
 
 def test_output_is_canonically_sorted_and_deduped():
     covers = enumerate_minimal_covers(triangle(), 3)
-    keys = [c.sorted() for c in covers]
+    keys = list(covers)
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -83,5 +83,5 @@ def test_matches_subset_bruteforce(g, k):
     assert as_sets(covers) == brute_minimal_covers(g, k)
     assert len(covers) <= 2**k
     for c in covers:
-        assert is_minimal_cover(g, c.vertices)
-        assert c.size <= k
+        assert is_minimal_cover(g, c)
+        assert len(c) <= k

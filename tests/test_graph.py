@@ -88,6 +88,19 @@ def test_evaluate_rejects_non_bijection():
         evaluate(p3(), Ordering.identity(4))
 
 
+def test_ordering_error_names_only_the_first_bad_id():
+    seq = list(range(100_000))
+    seq[70_000] = 123
+    with pytest.raises(OrderingError) as exc:
+        Ordering.from_sequence(seq)
+    message = str(exc.value)
+    assert "vertex id 123 at position 70001" in message and len(message) < 200
+    with pytest.raises(OrderingError, match="vertex id 5 at position 2 is outside 0..2"):
+        Ordering.from_sequence([0, 5, 1])
+    with pytest.raises(OrderingError, match="position 1 of vertex 1 is already taken"):
+        Ordering.from_positions([1, 1, 2])
+
+
 def test_ordering_position_is_inverse_of_sequence():
     o = Ordering.from_sequence([2, 0, 3, 1])
     assert o.position == (2, 4, 1, 3)

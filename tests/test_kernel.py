@@ -9,6 +9,7 @@ from msvc import (
     Instance,
     InvariantError,
     Kernel,
+    LiftError,
     Ordering,
     Rule2Record,
     Rule4Record,
@@ -23,6 +24,7 @@ from msvc import (
     rule2_apply,
     rule3_check,
     rule4_apply,
+    subset_dp_optimal,
 )
 from msvc.branching import branch_solve, solve
 from msvc.kernel import KernelTrace, _WorkGraph, _apply_rule2
@@ -239,6 +241,34 @@ def test_lift_identity_trace():
     assert lift(trace, ordering, Instance(g, w=2, k=1)) == ordering
 
 
+def test_lift_rejects_max_charge_over_original_k():
+    g = p3()
+    trace = KernelTrace(original_n=3, vertex_map=(0, 1, 2))
+    trace.kernel_instance = Instance(g, w=3, k=2)
+    # the totals agree (3 on both sides, offset 0); only the max charge, 2,
+    # exceeds the original k = 1
+    with pytest.raises(LiftError, match="max charge 2 exceeds k = 1"):
+        lift(trace, Ordering.identity(3), Instance(g, w=3, k=1))
+
+
+def test_solve_lifts_once_per_yes_instance(monkeypatch):
+    import msvc.branching
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(msvc.branching, "lift", counted)
+    cases = ((double_star(), 2), (star(5), 1), (p3(), 2), (disjoint_edges(3), 3), (triangle(), 1))
+    yes = 0
+    for g, k in cases:
+        yes += solve(Instance(g, w=k * g.m, k=k)).decision
+    # the triangle at k = 1 is a rule-1 no and lifts nothing
+    assert yes == 4 and len(calls) == yes
+
+
 def test_lift_rejects_suboptimal_kernel_ordering():
     from msvc import LiftError
 
@@ -362,6 +392,57 @@ def test_rules_2_and_4_against_brute_force():
                 kern_yes = w >= offset and kopt is not None and kopt <= w - offset
                 assert (opt is not None and opt <= w) == kern_yes, (g.edges, k, w)
     assert fired[Rule2Record] >= 20 and fired[Rule4Record] >= 20, fired
+
+
+def _small_hub_graph(rng, n):
+    """n vertices: 1-3 hubs, some adjacent, and every other vertex a leaf
+    of one hub, of two hubs, or, as pendant noise, of an earlier leaf;
+    labels shuffled."""
+    hubs = rng.randint(1, 3)
+    edges = [(h - 1, h) for h in range(1, hubs) if rng.random() < 0.5]
+    for v in range(hubs, n):
+        r = rng.random()
+        if v > hubs and r < 0.2:
+            edges.append((rng.randrange(hubs, v), v))
+        elif hubs > 1 and r < 0.35:
+            a, b = rng.sample(range(hubs), 2)
+            edges += [(a, v), (b, v)]
+        else:
+            edges.append((rng.randrange(hubs), v))
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    return build_graph(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+def test_solve_against_subset_dp_past_brute_force_scale():
+    """Kernel -> branch -> lift agrees with the subset DP in cost, decision
+    and re-costed witness on 300 hub graphs with pendant noise at
+    n = 9..16, k = 1..6, with the budget at the optimum or one below it."""
+    rng = random.Random(716)
+    fired = {Rule2Record: 0, Rule4Record: 0}
+    pairs = 0
+    for i in range(50):
+        g = _small_hub_graph(rng, 9 + i % 8)
+        for k in range(1, 7):
+            want = subset_dp_optimal(g, k)
+            w = k * g.m if want is None else max(want[0] - pairs % 2, 0)
+            inst = Instance(g, w=w, k=k)
+            pairs += 1
+            result = solve(inst)
+            assert result.decision == (want is not None and want[0] <= w), (g.edges, k, w)
+            if result.best_cost is None:
+                # no ordering, or rule 2 already spent more than w
+                assert want is None or want[0] > w, (g.edges, k, w)
+            else:
+                assert want is not None and result.best_cost == want[0], (g.edges, k)
+                report = evaluate(g, result.best_ordering)
+                assert report.total == want[0] and report.max_cost <= k, (g.edges, k)
+            out = kernelize(inst)
+            if isinstance(out, Kernel):
+                for rule in fired:
+                    fired[rule] += any(isinstance(s, rule) for s in out.trace.steps)
+    assert pairs == 300
+    assert fired[Rule2Record] >= 10 and fired[Rule4Record] >= 10, fired
 
 
 def test_kernelize_deterministic():
