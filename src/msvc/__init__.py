@@ -32,7 +32,6 @@ from .instance_io import (
 from .covers import enumerate_minimal_covers, is_minimal_cover
 from .kernel import (
     Kernel,
-    KernelOutcome,
     KernelTrace,
     LiftError,
     Rule2Record,
@@ -96,7 +95,6 @@ __all__ = [
     "enumerate_minimal_covers",
     "is_minimal_cover",
     "Kernel",
-    "KernelOutcome",
     "KernelTrace",
     "LiftError",
     "Rule2Record",

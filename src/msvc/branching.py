@@ -44,6 +44,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, permutations
 from typing import Iterator, Optional
 
 import numpy as np
@@ -113,16 +114,12 @@ def _arrangements(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered choice of r distinct values from range(m), one int16 row
     each, in lexicographic order, and per row the m - r values it leaves
     out, ascending.  Both arrays are read-only."""
-    rows = np.zeros((1, 0), dtype=np.int16)
-    for _ in range(r):
-        free = np.ones((len(rows), m), dtype=bool)
-        free[np.arange(len(rows))[:, None], rows] = False
-        # nonzero walks row-major, so the extended rows stay in order
-        row_ix, value = np.nonzero(free)
-        rows = np.concatenate([rows[row_ix], value[:, None].astype(np.int16)], axis=1)
-    free = np.ones((len(rows), m), dtype=bool)
-    free[np.arange(len(rows))[:, None], rows] = False
-    rest = np.nonzero(free)[1].astype(np.int16).reshape(len(rows), m - r)
+    count = math.perm(m, r)
+    flat = chain.from_iterable(permutations(range(m), r))
+    rows = np.fromiter(flat, dtype=np.int16, count=count * r).reshape(count, r)
+    free = np.ones((count, m), dtype=bool)
+    free[np.arange(count)[:, None], rows] = False
+    rest = np.nonzero(free)[1].astype(np.int16).reshape(count, m - r)
     rows.setflags(write=False)
     rest.setflags(write=False)
     return rows, rest
@@ -381,9 +378,7 @@ def branch_solve(inst: Instance) -> SolveResult:
 
     best_cost, best_ordering = search.best_cost, None
     if best_cost is not None:
-        placed = set(search.best_prefix)
-        rest = [v for v in range(g.n) if v not in placed]
-        best_ordering = Ordering.from_sequence(search.best_prefix + rest)
+        best_ordering = Ordering.from_prefix(search.best_prefix, g.n)
         report = evaluate(g, best_ordering)
         if report.total != best_cost or report.max_cost > k:
             raise InvariantError("branching witness failed re-verification")
@@ -436,7 +431,7 @@ def solve(inst: Instance) -> SolveResult:
         incumbent += offset
     total = lifted = None
     if sub.best_cost is not None:
-        lifted = lift(outcome.trace, sub.best_ordering, inst)
+        lifted = lift(outcome, sub.best_ordering, inst)
         total = sub.best_cost + offset
     return SolveResult(
         decision=total is not None and total <= inst.w,

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 import traceback
 from typing import Optional
 
@@ -37,6 +36,15 @@ EXIT_ERROR = 2
 
 def _ordering_json(ordering) -> list[int]:
     return [v + 1 for v in ordering.sequence]
+
+
+def _write_text(text: str, path: Optional[str]) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _search_counts(stats) -> dict:
@@ -75,12 +83,7 @@ def cmd_kernelize(args) -> int:
         return EXIT_NO
     if not isinstance(outcome, Kernel):
         raise InvariantError(f"kernelize returned {type(outcome).__name__}")
-    text = write_instance(outcome.instance)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(write_instance(outcome.instance), args.out)
     if args.trace:
         steps = []
         for step in outcome.trace.steps:
@@ -100,7 +103,7 @@ def cmd_kernelize(args) -> int:
                         "rule": 4,
                         "p": step.p,
                         "deleted_I": (step.deleted_vertices + 1).tolist(),
-                        "added_x": len(step.added_synthetics),
+                        "added_x": step.p,
                         "moved_edge_counts": {
                             str(v + 1): c for v, c in sorted(step.moved_edge_counts.items())
                         },
@@ -113,9 +116,7 @@ def cmd_kernelize(args) -> int:
                 None if orig is None else orig + 1 for orig in outcome.trace.vertex_map
             ],
         }
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace_payload, fh)
-            fh.write("\n")
+        _write_text(json.dumps(trace_payload) + "\n", args.trace)
     return EXIT_YES
 
 
@@ -158,13 +159,7 @@ def cmd_gen(args) -> int:
     g = generate(spec)
     k = args.k if args.k is not None else g.n
     w = args.w if args.w is not None else min(k, g.n) * g.m
-    inst = Instance(graph=g, w=w, k=k)
-    text = write_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(write_instance(Instance(graph=g, w=w, k=k)), args.out)
     return EXIT_YES
 
 
@@ -185,9 +180,7 @@ def cmd_bench(args) -> int:
         for k in ks:
             w = k * g.m
             inst = Instance(graph=g, w=w, k=k)
-            t0 = time.perf_counter()
             result = (branch_solve if args.no_kernel else solve)(inst)
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0
             row = {
                 "id": f"{spec.family}-{idx}-k{k}",
                 "n": g.n,
@@ -196,7 +189,7 @@ def cmd_bench(args) -> int:
                 "kernel_n": (result.kernel_summary or {}).get("n"),
                 "kernel_m": (result.kernel_summary or {}).get("m"),
                 **_search_counts(result.stats),
-                "time_ms": round(elapsed_ms, 3),
+                "time_ms": round(result.stats.elapsed * 1000.0, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,
                 "oracle_cost": None,
@@ -313,15 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="solve a generated corpus, emit NDJSON rows")
-    p_bench.add_argument("--n-min", type=int, default=4)
-    p_bench.add_argument("--n-max", type=int, default=8)
-    p_bench.add_argument("--per-size", type=int, default=5)
-    p_bench.add_argument("--p", type=float, default=0.4)
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--n-min", type=int, default=4)
+    corpus.add_argument("--n-max", type=int, default=8)
+    corpus.add_argument("--per-size", type=int, default=5)
+    corpus.add_argument("--p", type=float, default=0.4)
+    corpus.add_argument("--seed", type=int, default=1)
+    corpus.add_argument("--csv", default=None)
+
+    p_bench = sub.add_parser(
+        "bench", parents=[corpus], help="solve a generated corpus, emit NDJSON rows"
+    )
     p_bench.add_argument("--k", type=int, default=None, help="fixed k; default sweeps 0..n")
-    p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--no-kernel", action="store_true")
-    p_bench.add_argument("--csv", default=None)
     p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify", help="cost and feasibility of an ordering file")
@@ -329,13 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("ordering")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_an = sub.add_parser("analyze", help="structural reports over a generated corpus")
-    p_an.add_argument("--n-min", type=int, default=4)
-    p_an.add_argument("--n-max", type=int, default=8)
-    p_an.add_argument("--per-size", type=int, default=5)
-    p_an.add_argument("--p", type=float, default=0.4)
-    p_an.add_argument("--seed", type=int, default=1)
-    p_an.add_argument("--csv", default=None)
+    p_an = sub.add_parser(
+        "analyze", parents=[corpus], help="structural reports over a generated corpus"
+    )
     p_an.set_defaults(func=cmd_analyze)
 
     return parser

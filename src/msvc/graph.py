@@ -148,17 +148,17 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     return Graph(n=n, eu=_readonly(eu), ev=_readonly(ev))
 
 
-def _permutation_error(arr: np.ndarray, n: int) -> OrderingError:
-    """The error for a sequence of n entries that is no permutation of
-    0..n-1, naming its first id that is out of range or repeats an earlier
-    one, and not the whole sequence."""
-    if arr.shape != (n,) or arr.dtype.kind not in "iu":
+def _permutation_error(arr: np.ndarray, n: int, low: int = 0) -> OrderingError:
+    """The error for a sequence of ids from low..low+n-1 that holds one out
+    of range or repeats one, naming the first such id and not the whole
+    sequence."""
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
         return OrderingError(f"sequence is not {n} integer vertex ids")
-    outside = (arr < 0) | (arr >= n)
-    first = np.zeros(n, dtype=bool)
+    outside = (arr < low) | (arr >= low + n)
+    first = np.zeros(arr.size, dtype=bool)
     first[np.unique(arr, return_index=True)[1]] = True
     i = int((outside | ~first).argmax())
-    why = f"is outside 0..{n - 1}" if outside[i] else "repeats an earlier id"
+    why = f"is outside {low}..{low + n - 1}" if outside[i] else "repeats an earlier id"
     return OrderingError(f"vertex id {arr[i]} at position {i + 1} {why}")
 
 
@@ -168,22 +168,29 @@ class Ordering:
 
     ``sequence[i]`` is the vertex at position i+1.  ``position[v]``, the
     position of vertex v, is its exact inverse; it is built on each access,
-    so an ordering that is only kept or written holds one n-tuple.
+    so an ordering that is only kept or written holds one n-tuple.  A
+    witness fixes a prefix, and ``from_prefix`` is its one completion rule.
     """
 
     sequence: tuple[int, ...]
 
     @staticmethod
     def from_sequence(seq: Sequence[int] | np.ndarray) -> "Ordering":
-        n = len(seq)
-        arr = np.asarray(seq) if n else np.zeros(0, dtype=np.int64)
-        position = np.zeros(n, dtype=np.int64)
-        if arr.shape == (n,) and arr.dtype.kind in "iu" and n and arr.min() >= 0 and arr.max() < n:
-            position[arr] = np.arange(1, n + 1)
-        # an id out of range leaves every position 0, a repeated one leaves one
-        if n and position.min() == 0:
-            raise _permutation_error(arr, n)
-        return Ordering(sequence=tuple(arr.tolist()))
+        return Ordering.from_prefix(seq, len(seq))
+
+    @staticmethod
+    def from_prefix(prefix: Sequence[int] | np.ndarray, n: int) -> "Ordering":
+        """The prefix, then every other vertex of 0..n-1 in ascending id.  A
+        prefix id out of range or repeated raises OrderingError."""
+        head = np.asarray(prefix) if len(prefix) else np.zeros(0, dtype=np.int64)
+        rest = np.ones(n, dtype=bool)
+        if head.ndim == 1 and head.dtype.kind in "iu" and ((head >= 0) & (head < n)).all():
+            rest[head] = False
+        # an id out of range leaves every vertex in the rest, a repeated one
+        # leaves one too many
+        if np.count_nonzero(rest) != n - len(head):
+            raise _permutation_error(head, n)
+        return Ordering(sequence=tuple(head.tolist() + np.flatnonzero(rest).tolist()))
 
     @staticmethod
     def from_positions(position: Sequence[int]) -> "Ordering":

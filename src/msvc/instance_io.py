@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Instance, Ordering, OrderingError, build_graph
+from .graph import Instance, Ordering, OrderingError, _permutation_error, build_graph
 
 
 class ParseError(ValueError):
@@ -214,8 +214,9 @@ def parse_ordering(text: str, n: int) -> Ordering:
         raise ParseError("non-integer vertex id in ordering") from exc
     try:
         return Ordering.from_sequence(seq)
-    except OrderingError as exc:
-        raise ParseError(str(exc)) from exc
+    except OrderingError:
+        # name the bad id as the file writes it
+        raise ParseError(str(_permutation_error(np.asarray(seq) + 1, n, low=1))) from None
 
 
 def read_instance(path: str) -> Instance:

@@ -30,7 +30,7 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -80,26 +80,23 @@ class Rule4Record(_Record):
 
     p: int
     deleted_vertices: np.ndarray
-    added_synthetics: tuple[int, ...]
     moved_edge_counts: dict[int, int]
 
 
 KernelStep = Union[Rule2Record, Rule4Record]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelTrace:
-    """Replayable record of rule applications.
+    """Replayable record of rule applications, in the order they fired.
 
     vertex_map maps kernel vertex id -> original vertex id (None for
-    synthetic vertices).  kernel_instance is attached when the pipeline
-    finishes so that lifted orderings can be re-costed.
+    synthetic vertices).  The kernel instance itself is ``Kernel.instance``;
+    ``lift`` takes the whole ``Kernel``.
     """
 
-    original_n: int
-    steps: list[KernelStep] = field(default_factory=list)
-    vertex_map: tuple[Optional[int], ...] = ()
-    kernel_instance: Optional[Instance] = None
+    steps: tuple[KernelStep, ...]
+    vertex_map: tuple[Optional[int], ...]
 
     @property
     def w_offset(self) -> int:
@@ -115,9 +112,6 @@ class TrivialNo:
 class Kernel:
     instance: Instance
     trace: KernelTrace
-
-
-KernelOutcome = Union[TrivialNo, Kernel]
 
 
 class _WorkGraph:
@@ -299,11 +293,9 @@ def _build_rule4(work: _WorkGraph, high: np.ndarray, iso: np.ndarray) -> Optiona
     p = int(counts.max(initial=0))
     if p >= n_iso:
         return None
-    n = high.size
     return Rule4Record(
         p=p,
         deleted_vertices=_readonly(np.flatnonzero(iso)),
-        added_synthetics=tuple(range(n, n + p)),
         moved_edge_counts=dict(zip(high_ids.tolist(), counts.tolist())),
     )
 
@@ -336,7 +328,7 @@ def _compact(work: _WorkGraph, iso: Optional[np.ndarray], rule4: Optional[Rule4R
     return graph, tuple(survivors.tolist()) + (None,) * p
 
 
-def kernelize(inst: Instance) -> KernelOutcome:
+def kernelize(inst: Instance) -> Union[TrivialNo, Kernel]:
     """Run the full reduction pipeline.
 
     Outcome is either TrivialNo or an equivalent instance (identical yes/no
@@ -344,19 +336,17 @@ def kernelize(inst: Instance) -> KernelOutcome:
     k^2 + 2k vertices and the same k.
     """
     g, w, k = inst.graph, inst.w, inst.k
-    if k < 0:
-        return TrivialNo(rule="negative-k")
     if rule1_check(inst):
         return TrivialNo(rule="rule1")
     work = _WorkGraph(g)
-    trace = KernelTrace(original_n=g.n)
+    steps: list[KernelStep] = []
     order, k0 = _top_order(work.deg, k)
     while order.size and work.deg[order[0]] > k * (k0 + 1):
         t = _find_gap(work.deg[order], k)
         if t is None:
             raise InvariantError("top degree above k*(k0+1) forces a big gap")
         record = _apply_rule2(work, order, t, k)
-        trace.steps.append(record)
+        steps.append(record)
         w -= record.w_delta
         if w < 0:
             return TrivialNo(rule="budget-underflow")
@@ -372,34 +362,28 @@ def kernelize(inst: Instance) -> KernelOutcome:
         return TrivialNo(rule="rule3")
     rule4 = _build_rule4(work, high, iso)
     if rule4 is not None:
-        trace.steps.append(rule4)
+        steps.append(rule4)
     graph, vertex_map = _compact(work, iso, rule4)
-    kernel_inst = Instance(graph=graph, w=w, k=k)
-    trace.vertex_map = vertex_map
-    trace.kernel_instance = kernel_inst
-    return Kernel(instance=kernel_inst, trace=trace)
+    trace = KernelTrace(steps=tuple(steps), vertex_map=vertex_map)
+    return Kernel(instance=Instance(graph=graph, w=w, k=k), trace=trace)
 
 
-def lift(trace: KernelTrace, kernel_ord: Ordering, original: Instance) -> Ordering:
-    """Map an optimal kernel ordering back to the original graph.
+def lift(kernel: Kernel, kernel_ord: Ordering, original: Instance) -> Ordering:
+    """Map an optimal ordering of the kernel back to the original graph.
 
     Synthetic vertices are dropped, surviving originals keep their relative
-    order, and every remaining original vertex is appended in ascending id.
-    The result is re-costed once on the original graph.  Its total must
-    equal the kernel ordering's cost plus the recorded budget offset, and
-    its max charge must not exceed the original k; otherwise the kernel
-    ordering was not optimal or the trace is corrupt, and LiftError is
-    raised.
+    order, and ``Ordering.from_prefix`` appends every other original vertex
+    in ascending id.  The result is re-costed once on the original graph.
+    Its total must equal the kernel ordering's cost plus the recorded budget
+    offset, and its max charge must not exceed the original k; otherwise the
+    kernel ordering was not optimal or the trace is corrupt, and LiftError
+    is raised.
     """
-    if trace.kernel_instance is None:
-        raise LiftError("trace has no kernel instance attached")
-    kernel_total = evaluate(trace.kernel_instance.graph, kernel_ord).total
+    trace = kernel.trace
+    kernel_total = evaluate(kernel.instance.graph, kernel_ord).total
     vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
     kept = vertex_map[np.asarray(kernel_ord.sequence, dtype=np.int64)]
-    kept = kept[kept >= 0]
-    rest = np.ones(trace.original_n, dtype=bool)
-    rest[kept] = False
-    lifted = Ordering.from_sequence(np.concatenate((kept, np.flatnonzero(rest))))
+    lifted = Ordering.from_prefix(kept[kept >= 0], original.graph.n)
     report = evaluate(original.graph, lifted)
     if report.total != kernel_total + trace.w_offset:
         raise LiftError(

@@ -207,9 +207,7 @@ def subset_dp_optimal(g: Graph, k: int):
                 break
         else:
             raise InvariantError("no tight extension during DP reconstruction")
-    placed = set(seq)
-    seq.extend(v for v in range(n) if v not in placed)
-    return opt, Ordering.from_sequence(seq)
+    return opt, Ordering.from_prefix(seq, n)
 
 
 def regular_solve(g: Graph, k: int):
@@ -231,10 +229,8 @@ def regular_solve(g: Graph, k: int):
         m = g.m
         if k_eff < m:
             return None
-        firsts = sorted(u for u, _ in g.edges)
-        rest = sorted(set(range(n)) - set(firsts))
-        cost = m * (m + 1) // 2
-        return cost, Ordering.from_sequence(firsts + rest)
+        # a matching: the lower endpoints of its edges, ascending, cover it
+        return m * (m + 1) // 2, Ordering.from_prefix(g.eu, n)
     if d >= 3 and n > 2 * k_eff:
         return None
     return subset_dp_optimal(g, k)

@@ -163,7 +163,7 @@ def test_criterion_4_lift_correctness(small_corpus, brute_profiles):
             assert isinstance(out, Kernel), (g.edges, k)
             result = branch_solve(out.instance)
             assert result.best_cost is not None
-            lifted = lift(out.trace, result.best_ordering, inst)
+            lifted = lift(out, result.best_ordering, inst)
             rep = evaluate(g, lifted)
             assert rep.total == result.best_cost + out.trace.w_offset, (g.edges, k)
             assert rep.max_cost <= k

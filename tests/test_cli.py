@@ -81,6 +81,7 @@ def test_kernelize_writes_instance_and_trace(tmp_path, capsys):
     assert len(trace["vertex_map"]) == 3
     rules = [s["rule"] for s in trace["steps"]]
     assert rules == [2, 4]
+    assert trace["steps"][1]["added_x"] == trace["steps"][1]["p"]
 
 
 def test_kernelize_trace_past_numpy_sort_threshold(tmp_path, capsys):

@@ -101,6 +101,26 @@ def test_ordering_error_names_only_the_first_bad_id():
         Ordering.from_positions([1, 1, 2])
 
 
+def test_ordering_from_prefix():
+    # the prefix keeps its order and the other vertices follow ascending
+    assert Ordering.from_prefix([3, 0], 5).sequence == (3, 0, 1, 2, 4)
+    assert Ordering.from_prefix(np.array([4, 2], dtype=np.int64), 5).sequence == (4, 2, 0, 1, 3)
+    # the ids stay Python ints whatever the prefix's integer dtype
+    unsigned = Ordering.from_prefix(np.array([2], dtype=np.uint64), 3).sequence
+    assert unsigned == (2, 0, 1) and all(type(v) is int for v in unsigned)
+    assert Ordering.from_prefix([], 4) == Ordering.identity(4)
+    assert Ordering.from_prefix([], 0) == Ordering.identity(0)
+    assert Ordering.from_prefix([2, 0, 3, 1], 4) == Ordering.from_sequence([2, 0, 3, 1])
+    with pytest.raises(OrderingError, match="vertex id 1 at position 3 repeats an earlier id"):
+        Ordering.from_prefix([1, 2, 1], 5)
+    with pytest.raises(OrderingError, match="vertex id 5 at position 2 is outside 0..4"):
+        Ordering.from_prefix([0, 5], 5)
+    with pytest.raises(OrderingError, match="vertex id -1 at position 1 is outside 0..4"):
+        Ordering.from_prefix([-1], 5)
+    with pytest.raises(OrderingError):
+        Ordering.from_prefix([0, 1, 2], 2)
+
+
 def test_ordering_position_is_inverse_of_sequence():
     o = Ordering.from_sequence([2, 0, 3, 1])
     assert o.position == (2, 4, 1, 3)

@@ -71,6 +71,11 @@ def test_ordering_roundtrip():
 def test_parse_ordering_rejects_repeat():
     with pytest.raises(ParseError):
         parse_ordering("1 1 2\n", 3)
+    # the error names the id as the file writes it, 1-based
+    with pytest.raises(ParseError, match="vertex id 1 at position 2 repeats an earlier id"):
+        parse_ordering("1 1 2 3 4 5 6 7 8", 9)
+    with pytest.raises(ParseError, match="vertex id 10 at position 9 is outside 1..9"):
+        parse_ordering("1 2 3 4 5 6 7 8 10", 9)
 
 
 def test_parse_ordering_rejects_wrong_length():

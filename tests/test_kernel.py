@@ -217,7 +217,7 @@ def test_lift_double_star():
     out = kernelize(inst)
     result = branch_solve(out.instance)
     assert result.best_cost == 13
-    lifted = lift(out.trace, result.best_ordering, inst)
+    lifted = lift(out, result.best_ordering, inst)
     rep = evaluate(inst.graph, lifted)
     assert rep.total == 13 and rep.max_cost <= 2
     assert lifted.at(1) in (0, 1) and lifted.at(2) in (0, 1)
@@ -228,27 +228,25 @@ def test_lift_k15():
     out = kernelize(inst)
     result = branch_solve(out.instance)
     assert result.best_cost == 2
-    lifted = lift(out.trace, result.best_ordering, inst)
+    lifted = lift(out, result.best_ordering, inst)
     assert evaluate(inst.graph, lifted).total == 5  # 2 + offset 3
     assert lifted.at(1) == 0  # center first
 
 
 def test_lift_identity_trace():
     g = p3()
-    trace = KernelTrace(original_n=3, vertex_map=(0, 1, 2))
-    trace.kernel_instance = Instance(g, w=2, k=1)
+    kernel = Kernel(Instance(g, w=2, k=1), KernelTrace(steps=(), vertex_map=(0, 1, 2)))
     ordering = Ordering.from_sequence([1, 0, 2])
-    assert lift(trace, ordering, Instance(g, w=2, k=1)) == ordering
+    assert lift(kernel, ordering, Instance(g, w=2, k=1)) == ordering
 
 
 def test_lift_rejects_max_charge_over_original_k():
     g = p3()
-    trace = KernelTrace(original_n=3, vertex_map=(0, 1, 2))
-    trace.kernel_instance = Instance(g, w=3, k=2)
+    kernel = Kernel(Instance(g, w=3, k=2), KernelTrace(steps=(), vertex_map=(0, 1, 2)))
     # the totals agree (3 on both sides, offset 0); only the max charge, 2,
     # exceeds the original k = 1
     with pytest.raises(LiftError, match="max charge 2 exceeds k = 1"):
-        lift(trace, Ordering.identity(3), Instance(g, w=3, k=1))
+        lift(kernel, Ordering.identity(3), Instance(g, w=3, k=1))
 
 
 def test_solve_lifts_once_per_yes_instance(monkeypatch):
@@ -278,7 +276,7 @@ def test_lift_rejects_suboptimal_kernel_ordering():
     # and breaks the recorded accounting
     bad = Ordering.from_sequence([1, 0, 2])
     with pytest.raises(LiftError):
-        lift(out.trace, bad, inst)
+        lift(out, bad, inst)
 
 
 # ---------------------------------------------------------------- properties
@@ -338,7 +336,7 @@ def test_lift_round_trip(inst):
     if answer is None:
         return
     kernel_cost, kernel_ord = answer
-    lifted = lift(out.trace, kernel_ord, inst)
+    lifted = lift(out, kernel_ord, inst)
     rep = evaluate(inst.graph, lifted)
     assert rep.total == kernel_cost + out.trace.w_offset
     assert rep.max_cost <= inst.k
@@ -514,8 +512,9 @@ def kernel_pin_corpus():
                 yield g, k, w
 
 
-def _canon_step(step):
-    # the records hold arrays; the digest hashes the tuples they once were
+def _canon_step(step, n):
+    # the records hold arrays; the digest hashes the tuples they once were,
+    # rule 4's with the ids n..n+p-1 it once listed for its synthetics
     if isinstance(step, Rule2Record):
         removed = tuple(map(tuple, step.removed_edges.tolist()))
         return ("r2", step.t, step.delta, removed, step.w_delta)
@@ -523,7 +522,7 @@ def _canon_step(step):
         "r4",
         step.p,
         tuple(step.deleted_vertices.tolist()),
-        step.added_synthetics,
+        tuple(range(n, n + step.p)),
         tuple(step.moved_edge_counts.items()),
     )
 
@@ -544,18 +543,18 @@ def kernel_pin_records():
             kern = (
                 _canon_instance(out.instance),
                 out.trace.vertex_map,
-                tuple(_canon_step(s) for s in out.trace.steps),
+                tuple(_canon_step(s, g.n) for s in out.trace.steps),
             )
         t = find_big_gap(inst)
         rule2 = None
         if t is not None:
             try:
                 reduced, record = rule2_apply(inst, t)
-                rule2 = (_canon_instance(reduced), _canon_step(record))
+                rule2 = (_canon_instance(reduced), _canon_step(record, g.n))
             except (ValueError, InvariantError):
                 rule2 = "raises"
         reduced, record = rule4_apply(inst)
-        rule4 = (_canon_instance(reduced), None if record is None else _canon_step(record))
+        rule4 = (_canon_instance(reduced), None if record is None else _canon_step(record, g.n))
         yield (g.n, g.edges, k, w), kern, rule1_check(inst), t, rule3_check(inst), rule2, rule4
 
 

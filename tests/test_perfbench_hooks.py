@@ -1,6 +1,6 @@
-"""The benchmark's tracer wraps msvc attributes by name; a re-export that
-looks unused (``branching.lift``, ``branching.kernelize``) is one of them,
-and deleting it breaks every traced benchmark run."""
+"""The benchmark's tracer wraps msvc attributes by name, among them the
+names ``solve`` calls through (``branching.lift``, ``branching.kernelize``);
+renaming or deleting one breaks every traced benchmark run."""
 
 import importlib
 import sys
