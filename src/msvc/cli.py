@@ -25,6 +25,7 @@ from .oracles import (
     BRUTE_FORCE_GUARD,
     SUBSET_DP_GUARD,
     brute_force_optimal,
+    brute_force_profile,
     regular_solve,
     subset_dp_optimal,
 )
@@ -177,6 +178,7 @@ def cmd_bench(args) -> int:
     rows = []
     for idx, spec, g in _bench_corpus(args):
         ks = range(0, g.n + 1) if args.k is None else [args.k]
+        profile = brute_force_profile(g) if g.n <= BRUTE_FORCE_GUARD else None
         for k in ks:
             w = k * g.m
             inst = Instance(graph=g, w=w, k=k)
@@ -192,11 +194,8 @@ def cmd_bench(args) -> int:
                 "time_ms": round(result.stats.elapsed * 1000.0, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,
-                "oracle_cost": None,
+                "oracle_cost": None if profile is None else profile[min(k, g.n)],
             }
-            if g.n <= BRUTE_FORCE_GUARD:
-                oracle = brute_force_optimal(g, k)
-                row["oracle_cost"] = None if oracle is None else oracle[0]
             rows.append(row)
     return _emit_rows(rows, args.csv)
 

@@ -1,5 +1,6 @@
-"""Ground-truth solvers: full permutation enumeration and a subset dynamic
-program over placement prefixes, plus a fast path for regular graphs.
+"""Ground-truth solvers: full permutation enumeration (lexicographic int8
+numpy blocks, no Python object per ordering) and a subset dynamic program
+over placement prefixes, plus a fast path for regular graphs.
 
 Both oracles return the minimum total charge over all orderings whose maximum
 single charge is at most k, together with the lexicographically smallest
@@ -9,7 +10,8 @@ witness sequence, or None when no vertex cover of size <= k exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, permutations
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .graph import Graph, InvariantError, Ordering
 BRUTE_FORCE_GUARD = 10
 SUBSET_DP_GUARD = 24
 
-_CHUNK = 40320  # permutations processed per numpy batch
+_TAIL = 8  # orderings of the last min(n, _TAIL) slots come from one cached table
 
 # value held by every DpTable mask with more than k vertices
 DP_UNFILLED = int(np.iinfo(np.int32).max)
@@ -43,25 +45,38 @@ class DpTable:
     popcount: np.ndarray
 
 
-def _perm_batches(n: int):
-    """Every permutation of range(n), in lexicographic order, as int64 rows
-    of at most _CHUNK at a time."""
-    perms = permutations(range(n))
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(perms, _CHUNK)), dtype=np.int64)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, n)
+@lru_cache(maxsize=None)
+def _perm_table(r: int) -> np.ndarray:
+    """The permutations of range(r), lexicographic, as a read-only (r, r!) int8 table."""
+    table = np.hstack(list(_perm_blocks(r, r - 1))) if r else np.empty((0, 1), np.int8)
+    table.flags.writeable = False
+    return table
 
 
-def _charge_batches(g: Graph):
-    """Every ordering of a graph with edges, batched: yields (seqs, totals,
-    maxes), where row i of ``seqs`` is an ordering whose total charge is
-    totals[i] and whose largest single charge is maxes[i]."""
-    for seqs in _perm_batches(g.n):
-        pos = np.argsort(seqs, axis=1) + 1
-        costs = np.minimum(pos[:, g.eu], pos[:, g.ev])
-        yield seqs, costs.sum(axis=1), costs.max(axis=1)
+def _perm_blocks(n: int, r: int):
+    """Every permutation of range(n), in lexicographic order, as int8 column
+    blocks: one (n, r!) block per ordered choice of the first n - r values."""
+    table = _perm_table(r)
+    for head in permutations(range(n), n - r):
+        block = np.empty((n, table.shape[1]), dtype=np.int8)
+        block[: n - r] = np.array(head, dtype=np.int8)[:, None]
+        block[n - r :] = table
+        for j, h in enumerate(sorted(head)):  # shift past each head value
+            block[n - r :] += table >= h - j
+        yield block
+
+
+def _charges(g: Graph, pos: np.ndarray):
+    """(totals, maxes) per column of a position block, positions counting from 0:
+    the total charges less g.m (int16) and the largest charges less 1 (int8)."""
+    c = np.empty(pos.shape[1], dtype=np.int8)
+    totals = np.zeros(pos.shape[1], dtype=np.int16)
+    maxes = np.full(pos.shape[1], -1, dtype=np.int8)  # max charge 0 without edges
+    for u, v in zip(g.eu.tolist(), g.ev.tolist()):
+        np.minimum(pos[u], pos[v], out=c)
+        totals += c
+        np.maximum(maxes, c, out=maxes)
+    return totals, maxes
 
 
 def brute_force_optimal(g: Graph, k: int):
@@ -73,37 +88,38 @@ def brute_force_optimal(g: Graph, k: int):
     n = g.n
     if n > BRUTE_FORCE_GUARD:
         raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
-    k_eff = min(k, n)
-    if g.m == 0:
-        return 0, Ordering.identity(n)
     best = None
-    # permutations come in lexicographic order, so the first cheapest
-    # feasible row is the smallest optimal sequence
-    for seqs, totals, maxes in _charge_batches(g):
-        feasible = np.flatnonzero(maxes <= k_eff)
+    # blocks are lexicographic: the first cheapest feasible column is the witness
+    for seqs in _perm_blocks(n, min(n, _TAIL)):
+        pos = np.empty_like(seqs)
+        np.put_along_axis(pos, seqs, np.arange(n, dtype=np.int8)[:, None], axis=0)
+        totals, maxes = _charges(g, pos)
+        feasible = np.flatnonzero(maxes < min(max(k, 0), n))
         if feasible.size:
             idx = feasible[totals[feasible].argmin()]
-            if best is None or totals[idx] < best[0]:
-                best = int(totals[idx]), Ordering.from_sequence(seqs[idx])
+            cost = int(totals[idx]) + g.m
+            if best is None or cost < best[0]:
+                best = cost, Ordering.from_sequence(seqs[:, idx])
     return best
 
 
 def brute_force_profile(g: Graph) -> list:
     """best[c] = minimum total over orderings with max charge <= c, else None.
 
-    One enumeration pass answers every k at once; index c runs 0..n.
+    One enumeration pass answers every c at once.  Each permutation is read as
+    positions: the inverses of all orderings give the same (total, max) pairs.
     """
     n = g.n
     if n > BRUTE_FORCE_GUARD:
         raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
-    if g.m == 0:
-        return [0] * (n + 1)
-    unset = np.iinfo(np.int64).max
-    best = np.full(n + 1, unset, dtype=np.int64)
-    for _, totals, maxes in _charge_batches(g):
-        np.minimum.at(best, maxes, totals)
+    unset = np.iinfo(np.int16).max
+    best = np.full(n + 1, unset, dtype=np.int16)
+    for pos in _perm_blocks(n, min(n, _TAIL)):
+        totals, maxes = _charges(g, pos)
+        for c in range(-1, n):
+            best[c + 1] = totals.min(initial=best[c + 1], where=maxes == c)
     # min total over max charge <= c is the prefix minimum
-    return [None if c == unset else c for c in np.minimum.accumulate(best).tolist()]
+    return [None if c == unset else c + g.m for c in np.minimum.accumulate(best).tolist()]
 
 
 def _adj_masks(g: Graph) -> np.ndarray:

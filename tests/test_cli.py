@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from msvc import Instance, InvariantError, LiftError, build_graph, parse_instance, write_instance
+from msvc import (
+    Instance,
+    InvariantError,
+    LiftError,
+    brute_force_optimal,
+    build_graph,
+    parse_instance,
+    write_instance,
+)
 from msvc import cli
 from msvc.cli import main
 
@@ -203,6 +211,32 @@ def test_bench_rows_match_oracle(tmp_path, capsys):
         assert row["mappings_tried"] >= row["mappings_cut"] >= 0
         assert "incumbent" in row
     assert csv_path.read_text().startswith("id,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n-min", "3", "--n-max", "7", "--per-size", "2", "--seed", "11"],
+        ["--n-min", "5", "--n-max", "6", "--per-size", "1", "--k", "9"],
+        ["--n-min", "9", "--n-max", "11", "--per-size", "1", "--k", "4", "--p", "0.3"],
+    ],
+)
+def test_bench_oracle_cost_is_brute_force_optimum(capsys, argv):
+    """The per-graph profile gives each row the cost brute_force_optimal(g, k)
+    gives, and no oracle cost past the brute-force guard."""
+    code, out, _ = run(capsys, ["bench", *argv])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    args = cli.build_parser().parse_args(["bench", *argv])
+    graphs = {f"{spec.family}-{idx}": g for idx, spec, g in cli._bench_corpus(args)}
+    assert len(rows) == (len(graphs) if args.k is not None else sum(g.n + 1 for g in graphs.values()))
+    for row in rows:
+        g = graphs[row["id"].rsplit("-k", 1)[0]]
+        if g.n > cli.BRUTE_FORCE_GUARD:
+            assert row["oracle_cost"] is None
+        else:
+            want = brute_force_optimal(g, row["k"])
+            assert row["oracle_cost"] == (None if want is None else want[0])
 
 
 def test_analyze_rows(capsys):

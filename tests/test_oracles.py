@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msvc.oracles as oracles
 from msvc import (
+    GeneratorSpec,
     Ordering,
     OracleGuardError,
     build_dp_table,
@@ -13,6 +20,7 @@ from msvc import (
     brute_force_profile,
     enumerate_minimal_covers,
     evaluate,
+    generate,
     regular_solve,
     subset_dp_optimal,
 )
@@ -30,6 +38,17 @@ def pure_python_optimal(g, k):
         if rep.max_cost <= min(k, g.n) and (best is None or rep.total < best):
             best, best_seq = rep.total, seq
     return None if best is None else (best, best_seq)
+
+
+def pure_python_profile(g):
+    """best[c] over c = 0..n from one evaluate per ordering, no numpy blocks."""
+    best = [None] * (g.n + 1)
+    for seq in permutations(range(g.n)):
+        rep = evaluate(g, Ordering.from_sequence(seq))
+        for c in range(rep.max_cost, g.n + 1):
+            if best[c] is None or rep.total < best[c]:
+                best[c] = rep.total
+    return best
 
 
 # ------------------------------------------------------------ brute force
@@ -52,6 +71,26 @@ def test_brute_guard():
     g = build_graph(11, [])
     with pytest.raises(OracleGuardError):
         brute_force_optimal(g, 3)
+
+
+def test_brute_profile_guard():
+    with pytest.raises(OracleGuardError):
+        brute_force_profile(build_graph(11, [(0, 1)]))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_perm_blocks_enumerate_lexicographically(n):
+    blocks = list(oracles._perm_blocks(n, min(n, oracles._TAIL)))
+    assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
+    got = [tuple(col) for b in blocks for col in b.T.tolist()]
+    assert got == list(permutations(range(n)))
+
+
+def test_import_builds_no_permutation_table():
+    code = "import msvc, msvc.oracles as o; print(o._perm_table.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 def test_brute_profile_prefix_min():
@@ -119,6 +158,36 @@ def test_numpy_brute_matches_pure_python(g, k):
     else:
         assert got is not None and got[0] == want[0]
         assert got[1].sequence == want[1]  # lexicographically smallest witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=7))
+def test_numpy_profile_matches_pure_python(g):
+    assert brute_force_profile(g) == pure_python_profile(g)
+
+
+def _head_path_graphs():
+    """Seeded gnp graphs at n = 9 and 10, where blocks have a fixed head."""
+    return [generate(GeneratorSpec("gnp", (n, p), seed=9000 + 10 * n + i))
+            for n in (9, 10) for i, p in enumerate((0.3, 0.5, 0.7))]
+
+
+@pytest.mark.parametrize("g", _head_path_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_head_path_profile_matches_dp(g):
+    profile = brute_force_profile(g)
+    for c in range(g.n + 1):
+        dp = subset_dp_optimal(g, c)
+        assert profile[c] == (None if dp is None else dp[0])
+
+
+@pytest.mark.parametrize("g", _head_path_graphs()[::2], ids=lambda g: f"n{g.n}m{g.m}")
+def test_head_path_witness_matches_dp(g):
+    for k in (g.n // 2, g.n - 2, g.n):
+        b = brute_force_optimal(g, k)
+        d = subset_dp_optimal(g, k)
+        assert (b is None) == (d is None)
+        if b is not None:
+            assert (b[0], b[1].sequence) == (d[0], d[1].sequence)
 
 
 @settings(max_examples=120, deadline=None)
