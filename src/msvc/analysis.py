@@ -81,9 +81,8 @@ def min_max_cost_over_optima(g: Graph):
         raise AnalysisGuardError(f"min-max analysis limited to n <= {MIN_MAX_GUARD}")
     if g.m == 0:
         return 0, 0
-    table = build_dp_table(g, n)
-    opt, best = optimal_covers(g, table, n)
-    return opt, int(table.popcount[best].min())
+    opt, best = optimal_covers(build_dp_table(g, n))
+    return opt, int(best[0]).bit_count()  # the best covers come by size
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ over placement prefixes, plus a fast path for regular graphs.
 Both oracles return the minimum total charge over all orderings whose maximum
 single charge is at most k, together with the lexicographically smallest
 witness sequence, or None when no vertex cover of size <= k exists.
+
+The subset DP sums the uncovered edges of each prefix (see ``DpTable``) over
+the vertex sets of at most k vertices only, built one size at a time.
 """
 
 from __future__ import annotations
@@ -34,15 +37,18 @@ class OracleGuardError(ValueError):
 class DpTable:
     """Prefix-placement table over all 2^n vertex subsets, indexed by bitmask.
 
-    ``value`` is a numpy int32 array: value[mask] is the minimal total charge
-    of any ordering that places exactly the vertices of ``mask`` first, and
-    value[0] == 0.  Only the layers of popcount 0..k are filled; every mask
-    with more than k vertices holds the sentinel ``DP_UNFILLED``.
-    ``popcount[mask]`` (uint8) is the number of vertices in ``mask``.
+    ``value`` (int32): for a mask S of s <= k vertices, value[S] = least[S]
+    + unc(S), where unc(T) counts the edges with no end in T and least[S] is
+    the least chain charge unc(P_0) + ... + unc(P_{s-1}) over the orderings
+    whose first s vertices P_s are S.  An edge charged c is left uncovered by
+    c prefixes, so on a vertex cover value[S] is the least total charge;
+    elsewhere each edge with no end in S counts s + 1.  value[0] == m; masks
+    of more than k vertices hold ``DP_UNFILLED``.  ``covers`` (int64): the
+    vertex covers of at most k vertices, by size, then ascending.
     """
 
     value: np.ndarray
-    popcount: np.ndarray
+    covers: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -83,24 +89,26 @@ def brute_force_optimal(g: Graph, k: int):
     """Minimum total charge over all n! orderings with max charge <= k.
 
     Returns (cost, Ordering) with the lexicographically smallest optimal
-    sequence, or None if no ordering satisfies the max-charge bound.
+    sequence, or None if no ordering satisfies the max-charge bound.  Each
+    permutation is read as positions, as in ``brute_force_profile``; only
+    the cheapest feasible columns of a block are compared as sequences.
     """
     n = g.n
     if n > BRUTE_FORCE_GUARD:
         raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
-    best = None
-    # blocks are lexicographic: the first cheapest feasible column is the witness
-    for seqs in _perm_blocks(n, min(n, _TAIL)):
-        pos = np.empty_like(seqs)
-        np.put_along_axis(pos, seqs, np.arange(n, dtype=np.int8)[:, None], axis=0)
+    unset = np.iinfo(np.int16).max
+    low, best = unset, None  # the least feasible total less m so far, and its witness
+    for pos in _perm_blocks(n, min(n, _TAIL)):
         totals, maxes = _charges(g, pos)
-        feasible = np.flatnonzero(maxes < min(max(k, 0), n))
-        if feasible.size:
-            idx = feasible[totals[feasible].argmin()]
-            cost = int(totals[idx]) + g.m
-            if best is None or cost < best[0]:
-                best = cost, Ordering.from_sequence(seqs[:, idx])
-    return best
+        totals[maxes >= min(max(k, 0), n)] = unset
+        if (cost := totals.min()) < unset and cost <= low:
+            cols = np.flatnonzero(totals == cost)
+            for p in range(n):  # keep the columns with the least vertex at position p
+                cols = cols[next(hit for hit in (pos[v, cols] == p for v in range(n)) if hit.any())]
+            seq = np.argsort(pos[:, cols[0]]).tolist()
+            if cost < low or seq < best:
+                low, best = cost, seq
+    return None if best is None else (int(low) + g.m, Ordering.from_sequence(best))
 
 
 def brute_force_profile(g: Graph) -> list:
@@ -130,22 +138,35 @@ def _adj_masks(g: Graph) -> np.ndarray:
     return masks
 
 
-def _popcounts(n: int) -> np.ndarray:
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
-    return pc
+def _next_layer(layer: np.ndarray, unc: np.ndarray, adj: np.ndarray):
+    """The masks of one vertex more than the ascending ``layer``, ascending,
+    and their uncovered-edge counts: each once, as T + v for T below 1 << v."""
+    bits = np.left_shift(1, np.arange(adj.size, dtype=np.int64))
+    cuts = np.searchsorted(layer, bits)  # layer[:cuts[v]] lies below 1 << v
+    rows = np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    below = layer[rows]
+    return below | np.repeat(bits, cuts), unc[rows] - np.bitwise_count(np.repeat(adj, cuts) & ~below)
 
 
-def _transitions(value: np.ndarray, adj: np.ndarray, layer: np.ndarray, s: int):
-    """The recurrence value[S] = min over v in S of value[S - v] + |S| * |N(v) - S|
-    on the masks S of one layer (all of popcount s): yields, per vertex v, the
-    masks holding v, those masks without v, and the candidate charges."""
-    for v, nbrs in enumerate(adj):
-        bit = 1 << v
-        sub = layer[(layer & bit) != 0]
-        prev = sub ^ bit
-        yield sub, prev, value[prev] + s * np.bitwise_count(nbrs & ~sub).astype(np.int32)
+def _drop_each(masks: np.ndarray, s: int):
+    """Yields, for masks of s vertices, the masks less their lowest vertex,
+    then less their second lowest, and so on, all into one reused buffer."""
+    rest, prev = masks.copy(), np.empty_like(masks)
+    for _ in range(s):
+        np.negative(rest, out=prev)
+        prev &= rest  # the lowest vertex left in rest
+        rest ^= prev
+        prev ^= masks
+        yield prev
+
+
+def _least(value: np.ndarray, masks: np.ndarray, s: int) -> np.ndarray:
+    """least[S] = min over v in S of value[S - v], for masks S of s >= 1 vertices."""
+    drops = _drop_each(masks, s)
+    least = value[next(drops)]
+    for prev in drops:
+        np.minimum(least, value[prev], out=least)
+    return least
 
 
 def build_dp_table(g: Graph, k: int) -> DpTable:
@@ -154,76 +175,66 @@ def build_dp_table(g: Graph, k: int) -> DpTable:
     if n > SUBSET_DP_GUARD:
         raise OracleGuardError(f"subset DP limited to n <= {SUBSET_DP_GUARD}, got {n}")
     adj = _adj_masks(g)
-    table = DpTable(value=np.full(1 << n, DP_UNFILLED, dtype=np.int32), popcount=_popcounts(n))
-    value = table.value
-    value[0] = 0
+    value = np.full(1 << n, DP_UNFILLED, dtype=np.int32)
+    value[0] = g.m
+    layer, unc = np.zeros(1, dtype=np.int64), np.full(1, g.m, dtype=np.int32)
+    covers = [layer[(unc == 0) & (k >= 0)]]
     for s in range(1, min(k, n) + 1):
-        layer = np.flatnonzero(table.popcount == s)
-        for sub, _, cand in _transitions(value, adj, layer, s):
-            value[sub] = np.minimum(value[sub], cand)
-    return table
+        layer, unc = _next_layer(layer, unc, adj)
+        value[layer] = _least(value, layer, s) + unc
+        covers.append(layer[unc == 0])
+    return DpTable(value, np.concatenate(covers))
 
 
-def optimal_covers(g: Graph, table: DpTable, k: int):
-    """(opt, masks): the least table value over vertex covers of at most
-    min(k, n) vertices, and every such cover attaining it; None when the
-    graph has no cover that small."""
-    masks = np.flatnonzero(table.popcount <= min(k, g.n))
-    outside = ~masks
-    is_cover = np.ones(masks.size, dtype=bool)
-    for v, nbrs in enumerate(_adj_masks(g)):
-        # a vertex left outside the cover needs every neighbor inside it
-        is_cover &= ((masks & (1 << v)) != 0) | ((nbrs & outside) == 0)
-    covers = masks[is_cover]
-    if covers.size == 0:
+def optimal_covers(table: DpTable):
+    """(opt, masks): the least value over the table's covers and every cover
+    attaining it, by size, then ascending; None when the table has no cover."""
+    if table.covers.size == 0:
         return None
-    values = table.value[covers]
+    values = table.value[table.covers]
     opt = int(values.min())
-    return opt, covers[values == opt]
+    return opt, table.covers[values == opt]
 
 
 def subset_dp_optimal(g: Graph, k: int):
     """Subset DP optimum with max charge <= k; None when infeasible.
 
     The witness is the lexicographically smallest optimal sequence.  A
-    backward pass marks the tight masks: prefixes of some optimal ordering,
-    placed at their least charge.  A forward walk then takes, at each step,
-    the smallest vertex whose placement keeps the prefix tight.
+    backward pass collects, per size, the tight masks (prefixes of some
+    optimal ordering) and their least chain charge.  A forward walk then
+    takes the smallest vertex that keeps the prefix tight, up to a cover.
     """
-    n = g.n
-    k_eff = min(k, n)
     table = build_dp_table(g, k)
-    found = optimal_covers(g, table, k_eff)
-    if found is None:
+    if (found := optimal_covers(table)) is None:
         return None
     opt, best = found
-    adj = _adj_masks(g)
     value = table.value
-    tight = np.zeros(value.size, dtype=bool)
-    tight[best] = True
-    for s in range(k_eff, 0, -1):
-        layer = np.flatnonzero(tight & (table.popcount == s))
-        for sub, prev, cand in _transitions(value, adj, layer, s):
-            tight[prev[cand == value[sub]]] = True
+    # the walk stops at the first cover: it ends at a best cover B only if B - v
+    # is at value opt for a v with a neighbour outside B (B - v is no cover)
+    ends = np.zeros(best.size, dtype=bool)
+    for v, nbrs in enumerate(_adj_masks(g)):
+        ends |= ((nbrs & ~best) != 0) & (value[best & ~(1 << v)] == opt)
+    best = best[ends]
+    sizes = np.bitwise_count(best)
+    tight, masks = [], np.zeros(0, dtype=np.int64)
+    for s in range(int(sizes.max(initial=0)), 0, -1):
+        masks = np.sort(np.concatenate((masks, best[sizes == s])))
+        masks = masks[np.append(masks[:1] >= 0, masks[1:] != masks[:-1])]  # each once
+        least = _least(value, masks, s)
+        tight.append((masks, least))
+        masks = np.concatenate([prev[value[prev] == least] for prev in _drop_each(masks, s)])
 
-    adj_int = [int(a) for a in adj]
     seq: list[int] = []
-    mask = 0
-    # a tight prefix covers every edge exactly when its charge reaches opt,
-    # since each uncovered edge still costs at least 1
-    while (charge := int(value[mask])) < opt:
-        size = len(seq) + 1
-        for v in range(n):
-            nxt = mask | (1 << v)
-            if nxt == mask or not tight[nxt]:
-                continue
-            if charge + size * (adj_int[v] & ~nxt).bit_count() == value[nxt]:
-                seq.append(v)
-                mask = nxt
-                break
-        else:
+    mask = charge = 0  # the prefix placed so far and its least chain charge
+    for masks, least in reversed(tight):
+        if value[mask] == charge:  # no uncovered edge left
+            break
+        ok = np.flatnonzero(((masks & mask) == mask) & (least == value[mask]))
+        if ok.size == 0:
             raise InvariantError("no tight extension during DP reconstruction")
-    return opt, Ordering.from_prefix(seq, n)
+        seq.append((int(masks[ok[0]]) ^ mask).bit_length() - 1)
+        mask, charge = int(masks[ok[0]]), int(least[ok[0]])
+    return opt, Ordering.from_prefix(seq, g.n)
 
 
 def regular_solve(g: Graph, k: int):

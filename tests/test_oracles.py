@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 import msvc.oracles as oracles
 from msvc import (
     GeneratorSpec,
+    Instance,
     Ordering,
     OracleGuardError,
+    branch_solve,
     build_dp_table,
     build_graph,
     brute_force_optimal,
@@ -21,11 +24,12 @@ from msvc import (
     enumerate_minimal_covers,
     evaluate,
     generate,
+    min_max_cost_over_optima,
     regular_solve,
     subset_dp_optimal,
 )
 
-from conftest import c4, k4, p3, petersen, star, triangle
+from conftest import c4, claw_chain6, double_star, k4, p3, p4, petersen, star, triangle
 
 
 def pure_python_optimal(g, k):
@@ -133,9 +137,33 @@ def test_dp_table_accounting():
     assert evaluate(g, ordering).total == cost
 
 
+@pytest.mark.parametrize("k", [0, 2, 4, 6])
+def test_dp_table_fills_layers_up_to_k(k):
+    """value[S] caps every charge at |S| + 1; masks above k stay unfilled,
+    and the covers are exactly the vertex covers of at most k vertices."""
+    g = generate(GeneratorSpec("gnp", (6, 0.4), seed=61))
+    table = build_dp_table(g, k)
+    sizes = [bin(mask).count("1") for mask in range(1 << g.n)]
+    covers = [mask for mask in range(1 << g.n) if sizes[mask] <= k
+              and all((mask >> u) & 1 or (mask >> v) & 1 for u, v in g.edges)]
+    assert table.covers.tolist() == sorted(covers, key=lambda mask: (sizes[mask], mask))
+    for mask in range(1 << g.n):
+        if sizes[mask] > k:
+            assert table.value[mask] == oracles.DP_UNFILLED
+            continue
+        first = [v for v in range(g.n) if (mask >> v) & 1]
+        capped = min(
+            sum(count * min(i, sizes[mask] + 1)
+                for i, count in enumerate(evaluate(g, Ordering.from_prefix(seq, g.n)).r, 1))
+            for seq in permutations(first)
+        )
+        assert table.value[mask] == capped
+
+
 def test_dp_empty_graph():
     g = build_graph(0, [])
     assert subset_dp_optimal(g, 0) == (0, Ordering.from_sequence(()))
+    assert subset_dp_optimal(build_graph(3, []), -1) is None  # no cover of -1 vertices
 
 
 # ------------------------------------------------------------ cross checks
@@ -217,6 +245,70 @@ def test_dp_matches_brute(g, k):
 def test_feasibility_boundary_matches_cover_existence(g, k):
     has_cover = bool(enumerate_minimal_covers(g, k)) if g.m else True
     assert (subset_dp_optimal(g, k) is not None) == has_cover
+
+
+def complete(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def dp_corpus():
+    """Seeded gnp graphs at n = 0..16 (two densities each), K1..K10 and the
+    shared small graphs: past brute-force scale, with many ties in K_n."""
+    for n in range(17):
+        for i, p in enumerate((0.2, 0.5)):
+            yield f"gnp{n}.{i}", generate(GeneratorSpec("gnp", (n, p), seed=700 + 10 * n + i))
+    for n in range(1, 11):
+        yield f"K{n}", complete(n)
+    for name, make in (("p3", p3), ("p4", p4), ("triangle", triangle), ("c4", c4), ("k4", k4),
+                       ("double_star", double_star), ("claw_chain6", claw_chain6), ("petersen", petersen)):
+        yield name, make()
+    yield "star5", star(5)
+
+
+# sha256 of (cost, witness) of subset_dp_optimal at every k and of
+# min_max_cost_over_optima over dp_corpus, as computed by the DP that charged
+# |S| * |N(v) - S| per placement over the full 2^n popcount table; any change
+# to a cost or to the lexicographically smallest witness moves it
+DP_WITNESS_DIGEST = "5bd2e3888a290bcdd51160588fc74740a10c9ee1439f52a162439e33b494d8c7"
+
+
+def test_dp_witnesses_pinned():
+    h = hashlib.sha256()
+    for name, g in dp_corpus():
+        for k in range(g.n + 1):
+            r = subset_dp_optimal(g, k)
+            h.update(repr((name, k, None if r is None else (r[0], r[1].sequence))).encode())
+        h.update(repr((name, min_max_cost_over_optima(g))).encode())
+    assert h.hexdigest() == DP_WITNESS_DIGEST
+
+
+def _branch_witness(g, k):
+    r = branch_solve(Instance(g, w=k * g.m, k=k))
+    return None if r.best_cost is None else (r.best_cost, r.best_ordering.sequence)
+
+
+def _dp_witness(g, k):
+    r = subset_dp_optimal(g, k)
+    return None if r is None else (r[0], r[1].sequence)
+
+
+def _sparse_graphs():
+    """Sparse seeded gnp graphs at n = 18..24: past brute force, where the
+    DP's small-k layers and the branching solver meet."""
+    return [generate(GeneratorSpec("gnp", (n, p), seed=4000 + 10 * n + i))
+            for n in range(18, 25, 2) for i, p in enumerate((0.01, 0.02, 0.03, 0.04))]
+
+
+@pytest.mark.parametrize("g", _sparse_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_branching_matches_dp_past_brute_scale(g):
+    for k in range(7):
+        assert _branch_witness(g, k) == _dp_witness(g, k), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=10), st.integers(min_value=0, max_value=6))
+def test_branching_matches_dp(g, k):
+    assert _branch_witness(g, k) == _dp_witness(g, k)
 
 
 # ------------------------------------------------------------ regular fast path
