@@ -1,23 +1,55 @@
-"""Branching solver: guess a minimal cover and its placement, then fill the
-remaining prefix positions from a small scored candidate set.
+"""Branching solver: guess a minimal cover, then place it and the vertices
+outside it into the prefix at the least total charge.
 
-For every minimal cover S (|S| <= k) and every injective mapping of S into
-positions 1..k, the unoccupied prefix positions (gaps) are filled in
-increasing order.  At a gap p, a vertex outside S only helps by undercutting
+Every ordering with max charge <= k has a vertex cover among its first k
+vertices, and so a minimal cover S with |S| <= k.  The solver takes, over the
+minimal covers, the cheapest ordering that places S within positions 1..k.
+An edge charged c is left uncovered by c prefixes, so an ordering's total
+charge is the sum over its prefixes of their uncovered edges (its chain
+cost).  Every vertex outside S has all its neighbors in S, and those with the
+same neighbors N_c in S form a twin class c of mu_c interchangeable vertices.
+Up to its cost, a prefix is the cover vertices T it holds and the number f_c
+of each class, and its uncovered edges are
+
+    unc(T, f) = e(S - T) + sum over c of (mu_c - f_c) * |N_c - T|.
+
+Degree-0 vertices join no class: placed before the prefix covers every edge,
+one would only repeat a prefix's charge.
+
+Two engines search the placements of one cover, and each cover goes to the
+one with the smaller count:
+
+- the twin-class DP, over 2^|S| * #{f : f_c <= mu_c, sum f <= k - |S|}
+  states: togo(T, f) = unc(T, f) + the least togo one vertex later, and 0
+  once the prefix covers every edge, so togo at the empty prefix is the
+  cover's optimum; it is memoised from the empty prefix, so only the
+  states reached are evaluated;
+- the mapping search, over the P(k, |S|) injective maps of S into positions
+  1..k, each with its open positions (gaps) filled from scored candidates.
+
+The DP takes almost every cover.  The mapping search keeps covers with many
+classes and a large budget k - |S|: with |S| = 5, k = 10 and one outside
+vertex per nonempty subset of S (31 classes), the DP would have 6.6 million
+states against 30,240 mappings.  The DP covers run first, and their optimum
+and witness seed the mapping search.
+
+The DP witness is the lexicographically smallest optimal sequence: a forward
+walk takes the smallest vertex after which some cover still live reaches the
+optimum, a class giving its smallest unplaced member, and stops once the
+prefix covers every edge; the rest follow in ascending id.
+
+Mapping search.  At a gap p, a vertex outside S only helps by undercutting
 the charges of its edges to later-placed cover vertices, so each candidate is
 scored by the total charge reduction it would realize at p, and only the
-k - |S| best-scoring vertices need to be branched on.  The minimum cost over
-all branches decides the instance and yields a witness.
-
-Most branches are never walked.  Before the search, the greedy ordering that
-repeatedly takes the vertex covering the most uncovered edges is costed; if
-its max charge is at most k, its cost is the incumbent.  A mapping's cost is
-its base cost (every edge charged at its cover endpoint) less the scores of
-its fills.  The fills save at most the best score of each gap summed, and,
-since each vertex fills one gap, at most the |gaps| largest per-vertex
-best-over-gaps scores summed; base cost less the smaller sum bounds every
-fill of the mapping from below.  Both sums run over classes of non-cover
-vertices with the same cover neighbors, counted with multiplicity.  The
+k - |S| best-scoring vertices need to be branched on.  Before the search,
+the greedy ordering that repeatedly takes the vertex covering the most
+uncovered edges is costed; if its max charge is at most k, its cost is the
+incumbent, and the DP optimum lowers it.  A mapping's cost is its base cost
+(every edge charged at its cover endpoint) less the scores of its fills.  The
+fills save at most the best score of each gap summed, and, since each vertex
+fills one gap, at most the |gaps| largest per-vertex best-over-gaps scores
+summed; base cost less the smaller sum bounds every fill of the mapping from
+below.  Both sums run over the twin classes, counted with multiplicity.  The
 mappings of a cover are bounded in numpy, a block of rows at a time, and
 each block is walked in ascending bound order.  Inside the fill walk, a
 partial fill's bound puts the best score of each gap still open in place of
@@ -33,9 +65,9 @@ walked:
 
 A fill candidate cut by the tie-break still counts toward its gap's cap, so
 the branch space is unchanged, and the witness is the smallest (cost,
-sequence) of the whole branch space, exactly as without the cuts.  The
-candidate order at each gap of the rows a block will walk comes from one
-stable argsort of the block's scores, ties by ascending id.
+sequence) of the DP's witness and the whole branch space, exactly as without
+the cuts.  The candidate order at each gap of the rows a block will walk
+comes from one stable argsort of the block's scores, ties by ascending id.
 """
 
 from __future__ import annotations
@@ -63,6 +95,8 @@ BLOCK_ROWS = 720
 class SolveStats:
     """Search counters of one solve.
 
+    ``dp_covers`` counts the covers searched by the twin-class DP and
+    ``dp_states`` the DP states they evaluated.  Over the other covers,
     ``mappings_tried`` counts every mapping of a cover into the prefix that
     was bounded, ``mappings_cut`` those of them never walked, cut by the
     bound (it exceeded the best known cost) or by the tie-break (it could at
@@ -78,15 +112,36 @@ class SolveStats:
     elapsed: float
     mappings_cut: int = 0
     incumbent: Optional[int] = None
+    dp_covers: int = 0
+    dp_states: int = 0
 
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
+    """Outcome of one solve.  ``solve`` also records the kernel's n, m, w
+    and w_offset, or the rule that proved a trivial no; ``branch_solve``
+    leaves them None.  They are plain fields, as a caller may keep many
+    results."""
+
     decision: bool
     best_cost: Optional[int]
     best_ordering: Optional[Ordering]
     stats: SolveStats
-    kernel_summary: Optional[dict] = None
+    kernel_n: Optional[int] = None
+    kernel_m: Optional[int] = None
+    kernel_w: Optional[int] = None
+    w_offset: Optional[int] = None
+    trivial_no: Optional[str] = None
+
+    @property
+    def kernel_summary(self) -> Optional[dict]:
+        """{"trivial_no": rule}, the kernel's {"n", "m", "w", "w_offset"},
+        or None without a kernel; built on each access."""
+        if self.trivial_no is not None:
+            return {"trivial_no": self.trivial_no}
+        if self.kernel_n is None:
+            return None
+        return {"n": self.kernel_n, "m": self.kernel_m, "w": self.kernel_w, "w_offset": self.w_offset}
 
 
 def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
@@ -108,6 +163,127 @@ def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
             if not placed[x]:
                 remaining[x] -= 1
     return total if steps <= k else None
+
+
+def _fill_count(mult: list[int], budget: int) -> int:
+    """How many vectors f have f_c <= mult[c] for every c and sum f <= budget."""
+    ways = [1] + [0] * budget  # ways[t]: the vectors over the classes so far summing to t
+    for mu in mult:
+        run, grown = 0, []
+        for t in range(budget + 1):
+            run += ways[t] - (ways[t - mu - 1] if t > mu else 0)
+            grown.append(run)
+        ways = grown
+    return sum(ways)
+
+
+class _CoverDP:
+    """The twin-class cost-to-go DP of one minimal cover.
+
+    A state is (t, code, placed, unc): the cover vertices placed, as a mask
+    over the cover's indices; f packed into one int, class c counting in
+    units of its ``radix``; sum f; and the prefix's uncovered edges.
+    ``states`` is the size of the state space; ``memo`` holds togo of every
+    state evaluated that still has an uncovered edge.
+    """
+
+    def __init__(self, g: Graph, cover: tuple[int, ...], k: int):
+        self.cover = cover
+        self.budget = k - len(cover)
+        index = {v: i for i, v in enumerate(cover)}
+        # inner[i]: the cover neighbors of cover vertex i, as a mask
+        self.inner = [sum(1 << index[x] for x in g.adj[v] if x in index) for v in cover]
+        twins: dict[int, list[int]] = {}
+        for u in range(g.n):
+            if u not in index and g.adj[u]:
+                twins.setdefault(sum(1 << index[x] for x in g.adj[u]), []).append(u)
+        # (N_c as a mask, mu_c, radix_c, members ascending) per class
+        self.classes = []
+        radix = 1
+        for link, members in twins.items():
+            self.classes.append((link, len(members), radix, members))
+            radix *= len(members) + 1
+        self.states = (1 << len(cover)) * _fill_count([len(m) for m in twins.values()], self.budget)
+        self.memo: dict[int, int] = {}
+        # per code: the edges from each cover vertex to the class vertices
+        # that f leaves unplaced
+        self._outside = {0: [sum(mu for link, mu, _, _ in self.classes if link >> i & 1)
+                             for i in range(len(cover))]}
+        self.root = (0, 0, 0, g.m)
+
+    def moves(self, t: int, code: int, placed: int, unc: int) -> list[tuple[int, int, int, int, int]]:
+        """(i, t, code, placed, unc) after every vertex that may come next:
+        cover vertex i, or for i >= |S| a vertex of class i - |S|.  A class
+        vertex none of whose neighbors is left is not offered: it would only
+        repeat unc."""
+        rest = ~t
+        outside = self._outside[code]
+        out = []
+        for i, inner in enumerate(self.inner):
+            if rest >> i & 1:
+                out.append((i, t | 1 << i, code, placed, unc - (inner & rest).bit_count() - outside[i]))
+        if placed < self.budget:
+            for c, (link, mu, radix, _) in enumerate(self.classes):
+                saved = (link & rest).bit_count()
+                if saved and code // radix % (mu + 1) < mu:
+                    after = code + radix
+                    if after not in self._outside:
+                        self._outside[after] = [w - (link >> i & 1) for i, w in enumerate(outside)]
+                    out.append((len(self.inner) + c, t, after, placed + 1, unc - saved))
+        return out
+
+    def togo(self, t: int, code: int, placed: int, unc: int) -> int:
+        """The least chain cost of the prefixes from this state on."""
+        if not unc:
+            return 0
+        key = code << len(self.inner) | t
+        value = self.memo.get(key)
+        if value is None:
+            for _, t2, code2, placed2, unc2 in self.moves(t, code, placed, unc):
+                later = self.togo(t2, code2, placed2, unc2)
+                if value is None or later < value:
+                    value = later
+            value = self.memo[key] = unc + value
+        return value
+
+    def step(self, state: tuple, used: set[int], target: int):
+        """(v, state after v) for the smallest vertex v after which togo is
+        ``target``, or None; a class offers its smallest member not in
+        ``used``."""
+        best = None
+        for i, *after in self.moves(*state):
+            if i < len(self.cover):
+                v = self.cover[i]
+            else:
+                v = next(u for u in self.classes[i - len(self.cover)][3] if u not in used)
+            if (best is None or v < best[0]) and self.togo(*after) == target:
+                best = v, tuple(after)
+        return best
+
+
+def _dp_best(g: Graph, dps: list[_CoverDP], k: int) -> Optional[tuple[int, list[int]]]:
+    """(cost, positions 1..k of the witness) of the DP covers' optimum, or
+    None without a DP cover.  The witness walk follows every cover whose
+    optimum is the least; each step keeps those that reach it by the
+    smallest vertex."""
+    costs = [dp.togo(*dp.root) for dp in dps]
+    if not costs:
+        return None
+    opt = min(costs)
+    live = {dp: dp.root for dp, cost in zip(dps, costs) if cost == opt}
+    prefix, used = [], set()
+    left, unc = opt, g.m  # opt less the charge of the prefixes before this one
+    while unc:
+        left -= unc
+        steps = [(step, dp) for dp, state in live.items() if (step := dp.step(state, used, left))]
+        if not steps:
+            raise InvariantError("no tight vertex during the twin-class DP witness walk")
+        v = min(step[0] for step, _ in steps)
+        live = {dp: step[1] for step, dp in steps if step[0] == v}
+        prefix.append(v)
+        used.add(v)
+        unc = next(iter(live.values()))[3]
+    return opt, (prefix + [u for u in range(g.n) if u not in used])[:k]
 
 
 def _arrangements(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,17 +421,19 @@ class _CoverTerms:
 
 class _Search:
     """Shared state of one branch_solve: the cheapest cost and prefix found
-    so far, the incumbent, and the counters."""
+    so far, the incumbent, and the counters.  ``best``, when given, is a
+    (cost, prefix) found before the search, such as the DP covers' optimum."""
 
-    def __init__(self, g: Graph, k: int, incumbent: Optional[int]):
+    def __init__(self, g: Graph, k: int, incumbent: Optional[int],
+                 best: Optional[tuple[int, list[int]]] = None):
         self.g = g
         self.k = k
         self.incumbent = incumbent
-        self.limit = math.inf if incumbent is None else incumbent
-        self.best_cost: Optional[int] = None
-        # vertices at positions 1..k of the best ordering; the rest follow
-        # in ascending id, so equal prefixes mean equal orderings
-        self.best_prefix: Optional[list[int]] = None
+        # best_prefix: vertices at positions 1..k of the best ordering; the
+        # rest follow in ascending id, so equal prefixes mean equal orderings
+        self.best_cost, self.best_prefix = best or (None, None)
+        self.limit = min(math.inf if incumbent is None else incumbent,
+                         math.inf if best is None else best[0])
         self.improved = 0  # times best_cost or best_prefix changed
         self.mappings = 0
         self.cut = 0
@@ -372,8 +550,15 @@ def branch_solve(inst: Instance) -> SolveResult:
     start = time.perf_counter()
     g, w, k = inst.graph, inst.w, inst.k
     covers = enumerate_minimal_covers(g, k)
-    search = _Search(g, k, greedy_incumbent(g, k))
+    dps, mapped = [], []
     for cover in covers:
+        dp = _CoverDP(g, cover, k)
+        if dp.states <= math.perm(k, len(cover)):
+            dps.append(dp)
+        else:
+            mapped.append(cover)
+    search = _Search(g, k, greedy_incumbent(g, k), _dp_best(g, dps, k))
+    for cover in mapped:
         search.explore(cover)
 
     best_cost, best_ordering = search.best_cost, None
@@ -391,6 +576,8 @@ def branch_solve(inst: Instance) -> SolveResult:
         elapsed=time.perf_counter() - start,
         mappings_cut=search.cut,
         incumbent=search.incumbent,
+        dp_covers=len(dps),
+        dp_states=sum(len(dp.memo) for dp in dps),
     )
     decision = best_cost is not None and best_cost <= w
     return SolveResult(
@@ -413,19 +600,13 @@ def solve(inst: Instance) -> SolveResult:
             best_cost=None,
             best_ordering=None,
             stats=stats,
-            kernel_summary={"trivial_no": outcome.rule},
+            trivial_no=outcome.rule,
         )
     if not isinstance(outcome, Kernel):
         raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     kernel_inst = outcome.instance
     offset = outcome.trace.w_offset
     sub = branch_solve(kernel_inst)
-    summary = {
-        "n": kernel_inst.graph.n,
-        "m": kernel_inst.graph.m,
-        "w": kernel_inst.w,
-        "w_offset": offset,
-    }
     incumbent = sub.stats.incumbent
     if incumbent is not None:
         incumbent += offset
@@ -438,5 +619,8 @@ def solve(inst: Instance) -> SolveResult:
         best_cost=total,
         best_ordering=lifted,
         stats=replace(sub.stats, elapsed=time.perf_counter() - start, incumbent=incumbent),
-        kernel_summary=summary,
+        kernel_n=kernel_inst.graph.n,
+        kernel_m=kernel_inst.graph.m,
+        kernel_w=kernel_inst.w,
+        w_offset=offset,
     )

@@ -55,6 +55,8 @@ def _search_counts(stats) -> dict:
         "mappings_cut": stats.mappings_cut,
         "branches": stats.branches,
         "incumbent": stats.incumbent,
+        "dp_covers": stats.dp_covers,
+        "dp_states": stats.dp_states,
     }
 
 
@@ -188,8 +190,8 @@ def cmd_bench(args) -> int:
                 "n": g.n,
                 "m": g.m,
                 "k": k,
-                "kernel_n": (result.kernel_summary or {}).get("n"),
-                "kernel_m": (result.kernel_summary or {}).get("m"),
+                "kernel_n": result.kernel_n,
+                "kernel_m": result.kernel_m,
                 **_search_counts(result.stats),
                 "time_ms": round(result.stats.elapsed * 1000.0, 3),
                 "decision": "yes" if result.decision else "no",

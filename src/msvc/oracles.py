@@ -124,8 +124,7 @@ def brute_force_profile(g: Graph) -> list:
     best = np.full(n + 1, unset, dtype=np.int16)
     for pos in _perm_blocks(n, min(n, _TAIL)):
         totals, maxes = _charges(g, pos)
-        for c in range(-1, n):
-            best[c + 1] = totals.min(initial=best[c + 1], where=maxes == c)
+        np.minimum.at(best, maxes + 1, totals)
     # min total over max charge <= c is the prefix minimum
     return [None if c == unset else c + g.m for c in np.minimum.accumulate(best).tolist()]
 

@@ -1,6 +1,8 @@
 import hashlib
+import math
+import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from msvc import (
 from msvc.branching import (
     BLOCK_ROWS,
     _CoverTerms,
+    _fill_count,
     _mapping_blocks,
     _Search,
     branch_solve,
@@ -410,8 +413,10 @@ def complete_bipartite(a, b):
 
 def tie_corpus():
     """Graphs where many mappings and fills tie, each with its values of k.
-    claw_chain(3) and claw_chain(4) stop at k = 8: above it one solve bounds
-    millions of mappings (3.1 million for claw_chain(4) at k = 9)."""
+    claw_chain(3) and claw_chain(4) stop at k = 8, as when the digest was
+    taken by the mapping search (3.1 million mappings for claw_chain(4) at
+    k = 9); the twin-class DP solves k = 9..10 at once, and
+    test_claw_chains_match_subset_dp_at_large_k checks them."""
     for n in range(1, 9):
         yield f"K{n}", complete(n), range(n + 1)
     for n in range(4, 9):
@@ -442,10 +447,74 @@ def test_tie_witnesses_pinned():
     assert h.hexdigest() == TIE_WITNESS_DIGEST
 
 
-def test_complete_graph_walks_one_branch():
-    # every mapping ties; walking all of them made 362,880 branches
+def test_complete_graph_takes_the_dp():
+    # every one of the 362,880 mappings ties; the DP has 2^8 states per
+    # cover against the P(8, 8) = 40,320 mappings of each
     r = branch_solve(Instance(complete(9), w=120, k=8))
     assert r.decision and r.best_cost == 120
     assert r.best_ordering.sequence == tuple(range(9))
-    assert r.stats.branches == 1
-    assert r.stats.mappings_tried == 362_880 and r.stats.mappings_cut == 362_879
+    assert r.stats.covers_enumerated == r.stats.dp_covers == 9
+    assert r.stats.mappings_tried == 0 and r.stats.branches == 0
+    assert 0 < r.stats.dp_states <= 9 * 2**8
+
+
+def all_subsets(s):
+    """Cover vertices 0..s-1 and one vertex per nonempty subset of them,
+    adjacent to that subset: 2^s - 1 twin classes of one vertex each, so the
+    twin-class DP has far more states than there are mappings."""
+    subsets = [c for r in range(1, s + 1) for c in combinations(range(s), r)]
+    return build_graph(s + len(subsets), [(x, s + j) for j, c in enumerate(subsets) for x in c])
+
+
+def same_as_subset_dp(inst):
+    """branch_solve returns the subset DP's (cost, sequence).  solve returns
+    its cost; its lifted witness keeps the kernel's whole sequence, so it
+    need not be the smallest one (WITNESS_DIGEST pins it as it is)."""
+    want = subset_dp_optimal(inst.graph, inst.k)
+    r = branch_solve(inst)
+    got = None if r.best_cost is None else (r.best_cost, r.best_ordering.sequence)
+    assert got == (None if want is None else (want[0], want[1].sequence)), inst.k
+    lifted = solve(inst)
+    assert lifted.best_cost == r.best_cost
+    if lifted.best_cost is not None:
+        report = evaluate(inst.graph, lifted.best_ordering)
+        assert report.total == lifted.best_cost and report.max_cost <= inst.k
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_n=12))
+def test_matches_subset_dp_witness(inst):
+    same_as_subset_dp(inst)
+
+
+def test_claw_chains_match_subset_dp_at_large_k():
+    # kept out of the tie corpus, whose digest predates these k
+    for claws in (3, 4):
+        g = generate(GeneratorSpec("claw_chain", (claws,)))
+        for k in (9, 10):
+            same_as_subset_dp(Instance(g, w=k * g.m, k=k))
+
+
+def test_all_subsets_takes_the_mapping_search():
+    inst = Instance(all_subsets(4), w=0, k=8)
+    r = branch_solve(inst)
+    assert r.stats.dp_covers == 0 and r.stats.mappings_tried == math.perm(8, 4)
+    same_as_subset_dp(inst)
+
+    # past the subset DP's reach: 6.6 million DP states against 30,240 mappings
+    g = all_subsets(5)
+    start = time.perf_counter()
+    r = branch_solve(Instance(g, w=0, k=10))
+    assert time.perf_counter() - start < 1.0
+    assert r.stats.dp_covers == 0 and r.stats.mappings_tried == math.perm(10, 5)
+    report = evaluate(g, r.best_ordering)
+    assert report.total == r.best_cost and report.max_cost <= 10
+    # the kernel shrinks the classes and leaves the cover to the DP
+    via_kernel = solve(Instance(g, w=0, k=10))
+    assert via_kernel.stats.dp_covers == 1 and via_kernel.best_cost == r.best_cost
+
+
+def test_fill_count_matches_enumeration():
+    for mult, budget in (([], 3), ([1], 0), ([2, 1, 3], 2), ([1] * 6, 3), ([4, 2], 9)):
+        vectors = product(*(range(mu + 1) for mu in mult))
+        assert _fill_count(mult, budget) == sum(1 for f in vectors if sum(f) <= budget)

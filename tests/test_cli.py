@@ -41,6 +41,18 @@ def test_solve_yes(tmp_path, capsys):
     assert stats["incumbent"] == 2  # the greedy ordering of P3 is optimal
 
 
+def test_solve_reports_dp_counters(tmp_path, capsys):
+    # the five covers of K5 at k = 4 have 2^4 DP states each against 4! mappings
+    path = tmp_path / "k5.msvc"
+    k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    path.write_text(write_instance(Instance(k5, w=20, k=4)))
+    code, out, _ = run(capsys, ["solve", "--no-kernel", str(path)])
+    stats = json.loads(out)["stats"]
+    assert code == 0
+    assert stats["covers_enumerated"] == stats["dp_covers"] == 5
+    assert 0 < stats["dp_states"] <= 5 * 2**4 and stats["mappings_tried"] == 0
+
+
 def test_solve_no_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, ["solve", write_p3(tmp_path, w=1)])
     assert code == 1
