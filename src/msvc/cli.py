@@ -51,11 +51,7 @@ def _write_text(text: str, path: Optional[str]) -> None:
 def _search_counts(stats) -> dict:
     return {
         "covers_enumerated": stats.covers_enumerated,
-        "mappings_tried": stats.mappings_tried,
-        "mappings_cut": stats.mappings_cut,
-        "branches": stats.branches,
         "incumbent": stats.incumbent,
-        "dp_covers": stats.dp_covers,
         "dp_states": stats.dp_states,
     }
 

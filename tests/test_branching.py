@@ -1,10 +1,9 @@
 import hashlib
-import math
+import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,25 +17,15 @@ from msvc import (
     enumerate_minimal_covers,
     evaluate,
     generate,
-    kernelize,
     subset_dp_optimal,
 )
-from msvc.branching import (
-    BLOCK_ROWS,
-    _CoverTerms,
-    _fill_count,
-    _mapping_blocks,
-    _Search,
-    branch_solve,
-    greedy_incumbent,
-    solve,
-)
+from msvc.branching import _CoverDP, branch_solve, greedy_incumbent, solve
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
 
 # Reference helpers: a placement and the per-vertex fill score and candidate
-# order, written plainly, that the batched scores of the solver must match.
+# order, written plainly, for the exchange property below.
 
 @dataclass
 class PartialPlacement:
@@ -305,70 +294,6 @@ def test_greedy_incumbent():
     assert greedy_incumbent(build_graph(4, []), 0) == 0
 
 
-def walked_mappings(g, k, cover):
-    """(row, bound, walked optimum) of every mapping of a cover, each walked
-    on its own."""
-    terms = _CoverTerms(g, cover)
-    for block, gaps in _mapping_blocks(k, len(cover)):
-        base, bound, scores = terms.bounds(block, gaps, k)
-        cands, gains = terms.fill_order(scores, np.arange(len(block)))
-        for r, row in enumerate(block.tolist()):
-            search = _Search(g, k, None)
-            search.walk_mapping(
-                terms, row, int(base[r]), gaps[r].tolist(), cands[r].tolist(), gains[r].tolist()
-            )
-            yield row, int(bound[r]), search.best_cost
-
-
-def test_mapping_bound_never_exceeds_walked_optimum():
-    gnp8_worst = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
-    # the double_star(40,40) kernel keeps many leaves with the same neighbor
-    twins = kernelize(Instance(generate(GeneratorSpec("double_star", (40, 40))), w=121, k=8))
-    cases = (
-        (claw_chain6(), 7, 3),
-        (double_star(), 3, 3),
-        (gnp8_worst, 8, 2),
-        (twins.instance.graph, 8, 3),
-    )
-    for g, k, first in cases:
-        for cover in enumerate_minimal_covers(g, k)[:first]:
-            for row, low, walked in walked_mappings(g, k, cover):
-                assert low <= walked, (cover, row)
-
-
-def test_fill_order_matches_reference_scores():
-    """The batched per-vertex scores and candidate order at every gap equal
-    those of the reference ``score`` and ``candidate_set``."""
-    g, k = claw_chain6(), 7
-    checked = 0
-    for cover in enumerate_minimal_covers(g, k)[:3]:
-        terms = _CoverTerms(g, cover)
-        for block, gaps in _mapping_blocks(k, len(cover)):
-            _, _, scores = terms.bounds(block, gaps, k)
-            rows = np.arange(0, len(block), 97)
-            cands, gains = terms.fill_order(scores, rows)
-            for j, r in enumerate(rows.tolist()):
-                placement = PartialPlacement()
-                for v, p in zip(terms.cover_list, block[r].tolist()):
-                    placement.place(p, v)
-                assert gaps[r].tolist() == [p for p in range(1, k + 1) if p not in placement.slots]
-                for p, order, gain in zip(gaps[r].tolist(), cands[j].tolist(), gains[j].tolist()):
-                    assert order == candidate_set(g, placement, p, g.n)
-                    assert gain == [score(g, placement, p, u) for u in order]
-                    checked += 1
-    assert checked > 0
-
-
-def test_mapping_blocks_enumerate_every_mapping_once():
-    for k, s in ((0, 0), (3, 0), (4, 2), (7, 4), (8, 6), (8, 8), (9, 5)):
-        blocks = list(_mapping_blocks(k, s))
-        assert all(len(block) <= BLOCK_ROWS for block, _ in blocks)
-        rows = [tuple(r) for block, _ in blocks for r in block.tolist()]
-        assert rows == list(permutations(range(1, k + 1), s))
-        gaps = [g for _, block_gaps in blocks for g in block_gaps.tolist()]
-        assert gaps == [[p for p in range(1, k + 1) if p not in row] for row in rows]
-
-
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_matches_subset_dp_past_brute_force_scale(n):
     for i, p in enumerate((0.15, 0.2, 0.3, 0.45)):
@@ -448,20 +373,19 @@ def test_tie_witnesses_pinned():
 
 
 def test_complete_graph_takes_the_dp():
-    # every one of the 362,880 mappings ties; the DP has 2^8 states per
-    # cover against the P(8, 8) = 40,320 mappings of each
+    # every one of the 362,880 orderings of positions 1..8 ties; the DP has
+    # at most 2^8 states per cover
     r = branch_solve(Instance(complete(9), w=120, k=8))
     assert r.decision and r.best_cost == 120
     assert r.best_ordering.sequence == tuple(range(9))
-    assert r.stats.covers_enumerated == r.stats.dp_covers == 9
-    assert r.stats.mappings_tried == 0 and r.stats.branches == 0
+    assert r.stats.covers_enumerated == 9
     assert 0 < r.stats.dp_states <= 9 * 2**8
 
 
 def all_subsets(s):
     """Cover vertices 0..s-1 and one vertex per nonempty subset of them,
-    adjacent to that subset: 2^s - 1 twin classes of one vertex each, so the
-    twin-class DP has far more states than there are mappings."""
+    adjacent to that subset: 2^s - 1 twin classes of one vertex each, whose
+    count vectors within the budget s number in the millions at s = 5."""
     subsets = [c for r in range(1, s + 1) for c in combinations(range(s), r)]
     return build_graph(s + len(subsets), [(x, s + j) for j, c in enumerate(subsets) for x in c])
 
@@ -495,26 +419,118 @@ def test_claw_chains_match_subset_dp_at_large_k():
             same_as_subset_dp(Instance(g, w=k * g.m, k=k))
 
 
-def test_all_subsets_takes_the_mapping_search():
-    inst = Instance(all_subsets(4), w=0, k=8)
-    r = branch_solve(inst)
-    assert r.stats.dp_covers == 0 and r.stats.mappings_tried == math.perm(8, 4)
-    same_as_subset_dp(inst)
+def test_all_subsets_takes_the_dp():
+    same_as_subset_dp(Instance(all_subsets(4), w=0, k=8))
 
-    # past the subset DP's reach: 6.6 million DP states against 30,240 mappings
-    g = all_subsets(5)
-    start = time.perf_counter()
-    r = branch_solve(Instance(g, w=0, k=10))
-    assert time.perf_counter() - start < 1.0
-    assert r.stats.dp_covers == 0 and r.stats.mappings_tried == math.perm(10, 5)
-    report = evaluate(g, r.best_ordering)
-    assert report.total == r.best_cost and report.max_cost <= 10
-    # the kernel shrinks the classes and leaves the cover to the DP
-    via_kernel = solve(Instance(g, w=0, k=10))
-    assert via_kernel.stats.dp_covers == 1 and via_kernel.best_cost == r.best_cost
+    # past the subset DP's reach: without the savings floor the DP at s = 5
+    # evaluates 6.4 million states
+    for s in (5, 6):
+        g, k = all_subsets(s), 2 * s
+        start = time.perf_counter()
+        r = branch_solve(Instance(g, w=0, k=k))
+        assert time.perf_counter() - start < 1.0
+        assert 0 < r.stats.dp_states <= 2 ** (s + 1)
+        report = evaluate(g, r.best_ordering)
+        assert report.total == r.best_cost and report.max_cost <= k
+        assert solve(Instance(g, w=0, k=k)).best_cost == r.best_cost
 
 
-def test_fill_count_matches_enumeration():
-    for mult, budget in (([], 3), ([1], 0), ([2, 1, 3], 2), ([1] * 6, 3), ([4, 2], 9)):
-        vectors = product(*(range(mu + 1) for mu in mult))
-        assert _fill_count(mult, budget) == sum(1 for f in vectors if sum(f) <= budget)
+def twin_heavy(rng):
+    """A cover of 3 or 4 vertices with a few edges inside it, and outside
+    vertices on 2..6 random nonempty subsets of it, one or two per subset
+    (n <= 16); the ids are shuffled so ties between classes fall both
+    ways."""
+    s = rng.choice((3, 4))
+    edges = [e for e in combinations(range(s), 2) if rng.random() < 0.3]
+    n = s
+    for link in rng.sample(range(1, 1 << s), rng.randint(2, 6)):
+        for _ in range(rng.randint(1, 2)):
+            edges += [(x, n) for x in range(s) if link >> x & 1]
+            n += 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return build_graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_twin_heavy_graphs_match_subset_dp():
+    rng = random.Random(1207)
+    for _ in range(16):
+        g = twin_heavy(rng)
+        for k in range(g.n + 1):
+            same_as_subset_dp(Instance(g, w=k * g.m, k=k))
+
+
+def test_optimal_savings_never_grow():
+    """The rule behind the savings floor: along every optimal ordering with
+    max charge <= k, the edges each vertex newly covers never grow up to the
+    first full cover."""
+    checked = 0
+    for n in range(1, 8):
+        for i, p in enumerate((0.15, 0.3, 0.45, 0.6, 0.8)):
+            g = generate(GeneratorSpec("gnp", (n, p), seed=1300 + 10 * n + i))
+            runs = []  # (cost, max charge, savings up to the first full cover)
+            for seq in permutations(range(n)):
+                placed, unc, cost, savings = set(), g.m, 0, []
+                for v in seq:
+                    if not unc:
+                        break
+                    saved = sum(1 for x in g.adj[v] if x not in placed)
+                    placed.add(v)
+                    unc -= saved
+                    cost += unc
+                    savings.append(saved)
+                # each prefix adds its uncovered edges, the last one none
+                runs.append((cost + g.m, len(savings), savings))
+            for k in range(n + 1):
+                feasible = [run for run in runs if run[1] <= k]
+                if not feasible:
+                    continue
+                opt = min(run[0] for run in feasible)
+                for cost, _, savings in feasible:
+                    if cost == opt:
+                        assert all(a >= b for a, b in zip(savings, savings[1:])), (n, p, k, savings)
+                        checked += 1
+    assert checked > 0
+
+
+def cover_optimum(g, cover, k):
+    """Least chain cost over the orderings that cover every edge after at
+    most k - |S| vertices outside the cover S: a plain DP over the set of
+    placed vertices, without twin classes or the savings floor."""
+    inside = sum(1 << v for v in cover)
+    adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    memo = {}
+
+    def togo(placed, unc):
+        if not unc:
+            return 0
+        if placed not in memo:
+            spare = k - len(cover) - (placed & ~inside).bit_count()
+            memo[placed] = unc + min(
+                togo(placed | 1 << v, unc - (adj[v] & ~placed).bit_count())
+                for v in range(g.n)
+                if not placed >> v & 1 and (inside >> v & 1 or spare > 0)
+            )
+        return memo[placed]
+
+    return togo(0, g.m)
+
+
+def test_cover_optimum_matches_plain_dp():
+    """Every cover's optimum, savings floor included, is the plain DP's.  On
+    the first graph at k = 9, a floor of max(top, 1) that ignores the spare
+    placements would cut the optimum of the cover (0, 1, 3, 5, 9, 10)."""
+    first = build_graph(11, [(0, 4), (0, 5), (0, 6), (0, 9), (1, 2), (1, 4), (1, 6),
+                             (2, 10), (3, 8), (4, 5), (6, 9)])
+    cases = [(first, [9])]
+    for n in range(2, 9):
+        for i, p in enumerate((0.3, 0.5, 0.7)):
+            g = generate(GeneratorSpec("gnp", (n, p), seed=1400 + 10 * n + i))
+            cases.append((g, range(n + 1)))
+    rng = random.Random(1408)
+    cases += [(g, range(g.n + 1)) for g in (twin_heavy(rng) for _ in range(4))]
+    for g, ks in cases:
+        for k in ks:
+            for cover in enumerate_minimal_covers(g, k):
+                dp = _CoverDP(g, cover, k)
+                assert dp.togo(*dp.root) == cover_optimum(g, cover, k), (g.edges, k, cover)
