@@ -6,38 +6,42 @@ vertices, and so a minimal cover S with |S| <= k.  The solver takes, over the
 minimal covers, the cheapest ordering that places S within positions 1..k.
 An edge charged c is left uncovered by c prefixes, so an ordering's total
 charge is the sum over its prefixes of their uncovered edges (its chain
-cost).  Every vertex outside S has all its neighbors in S, and those with the
-same neighbors N_c in S form a twin class c of mu_c interchangeable vertices.
-Up to its cost, a prefix is the cover vertices T it holds and the number f_c
-of each class, and its uncovered edges are
+cost).
 
-    unc(T, f) = e(S - T) + sum over c of (mu_c - f_c) * |N_c - T|.
+One prefix DP serves every cover.  A state is (X, R): the vertices X placed
+so far and the cover vertices R = S - X still to place, with one root
+(empty, S) per minimal cover.  From (X, R) on, the ordering places R and at
+most k - |X| - |R| vertices outside X + R, each with all its neighbors in
+S, which lies in X + R; so the least chain cost of the prefixes from X on,
 
-Degree-0 vertices join no class: placed before the prefix covers every edge,
-one would only repeat a prefix's charge.
+    togo(X, R) = unc(X) + the least togo one vertex later,
 
-A twin-class DP searches each cover: togo(T, f) = unc(T, f) + the least
-togo one vertex later, and 0 once the prefix covers every edge, with
-|T| + sum f <= k throughout, so togo at the empty prefix is the cover's
-optimum.  It is memoised from the empty prefix, so only the states reached
-are evaluated.
+and 0 once X covers every edge, depends on (X, R) only, and one memo holds
+the states of all covers.  Vertices with the same neighbors (false twins)
+are interchangeable, so a move places a vertex of R or the smallest member
+outside X + R of a twin class; degree-0 vertices join no class, as one
+placed before the prefix covers every edge only repeats a prefix's charge.
+Moves are made in the DP pass only, which looks a next state up in the memo
+(or sees it has no uncovered edge) before it recurses, so only the states
+reached from the roots are evaluated.
 
 Savings floor.  Along an optimal path from any state the edges each vertex
 newly covers (its saving) never grow: if a vertex saved more than the one
 just before it, swapping the two would lower the chain cost and place no
-more class vertices.  With spare class placements left, an unplaced cover
-vertex with top edges to unplaced class vertices is still to be placed when
+more vertices outside the cover.  With spare such placements left, a vertex
+of R with top edges to vertices outside X + R is still to be placed when
 top > spare, and saves at least top - spare then; so a class vertex that
 saves less is on no optimal path and is not offered.  Every togo, and so
 every cover's optimum and the witness, is the same as without the floor.
 
-The witness is the lexicographically smallest optimal sequence: a forward
-walk takes the smallest vertex after which some cover still live reaches the
-optimum, a class giving its smallest unplaced member, and stops once the
-prefix covers every edge; the rest follow in ascending id.  The greedy
-ordering that repeatedly takes the vertex covering the most uncovered edges
-cross-checks the search: when its max charge is at most k, the DP must find
-an ordering too.
+The witness is the lexicographically smallest optimal sequence, read off
+the memo, whose entries pack togo with the smallest vertex of an optimal
+move.  A walk starts from every root at the optimum; its live states share
+X, and each step places the least vertex they recorded, keeps the states
+that recorded it and stops once X covers every edge; the rest follow in
+ascending id.  The greedy ordering that repeatedly takes the vertex
+covering the most uncovered edges cross-checks the search: when its max
+charge is at most k, the DP must find an ordering too.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from .kernel import Kernel, TrivialNo, kernelize, lift
 @dataclass(frozen=True, slots=True)
 class SolveStats:
     """Search counters of one solve: the minimal covers enumerated, the
-    twin-class DP states evaluated over all of them, and ``incumbent``, the
+    distinct (X, R) states of the prefix DP evaluated across all of them
+    (a state reached from several covers counts once), and ``incumbent``, the
     greedy ordering's cost (on the scale of ``best_cost``, kernel offset
     included), or None when that ordering's max charge exceeds k.
     """
@@ -79,18 +84,30 @@ class SolveStats:
 class SolveResult:
     """Outcome of one solve.  ``solve`` also records the kernel's n, m, w
     and w_offset, or the rule that proved a trivial no; ``branch_solve``
-    leaves them None.  They are plain fields, as a caller may keep many
-    results."""
+    leaves them None.  Every field is a plain value, and ``best_ordering``
+    (from the witness's ``sequence``), ``stats`` and ``kernel_summary`` are
+    built on each access, as a caller may keep many results."""
 
     decision: bool
     best_cost: Optional[int]
-    best_ordering: Optional[Ordering]
-    stats: SolveStats
+    sequence: Optional[tuple[int, ...]]
+    covers_enumerated: int
+    elapsed: float
+    incumbent: Optional[int] = None
+    dp_states: int = 0
     kernel_n: Optional[int] = None
     kernel_m: Optional[int] = None
     kernel_w: Optional[int] = None
     w_offset: Optional[int] = None
     trivial_no: Optional[str] = None
+
+    @property
+    def best_ordering(self) -> Optional[Ordering]:
+        return None if self.sequence is None else Ordering(self.sequence)
+
+    @property
+    def stats(self) -> SolveStats:
+        return SolveStats(self.covers_enumerated, self.elapsed, self.incumbent, self.dp_states)
 
     @property
     def kernel_summary(self) -> Optional[dict]:
@@ -124,119 +141,103 @@ def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
     return total if steps <= k else None
 
 
-class _CoverDP:
-    """The twin-class cost-to-go DP of one minimal cover.
+class _PrefixDP:
+    """The prefix DP of one solve.  A state's key holds X and R as the
+    base-3 digits 1 and 2 of their vertices, below 2**30 (a 28-byte int) up
+    to n = 18.  ``layers[d]`` maps the key of each state evaluated with
+    |X| = d that still has an uncovered edge to its record, togo << ``shift``
+    | the smallest vertex of an optimal move.  Equal records are stored
+    once, and the memo is split by |X| so that no dict grows through a large
+    resize."""
 
-    A state is (t, code, placed, unc): the cover vertices placed, as a mask
-    over the cover's indices; f packed into one int, class c counting in
-    units of its ``radix``; sum f; and the prefix's uncovered edges.
-    ``memo`` holds togo of every state evaluated that still has an
-    uncovered edge.
-    """
+    def __init__(self, g: Graph, k: int):
+        self.m, self.k = g.m, k
+        self.shift = g.n.bit_length()
+        self.adj = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
+        self.digit = [3**v for v in range(g.n)]
+        twins: dict[int, int] = {}  # N(u) -> its members, both as masks
+        for u, link in enumerate(self.adj):
+            if link:
+                twins[link] = twins.get(link, 0) | 1 << u
+        self.layers: list[dict[int, int]] = [{} for _ in range(min(k, g.n) + 1)]
+        classes = tuple(twins.items())
+        # the last one maps each distinct record to the one object stored
+        self._consts = (1 << g.n) - 1, self.shift, self.adj, self.digit, classes, self.layers, {}
 
-    def __init__(self, g: Graph, cover: tuple[int, ...], k: int):
-        self.cover = cover
-        self.budget = k - len(cover)
-        index = {v: i for i, v in enumerate(cover)}
-        # inner[i]: the cover neighbors of cover vertex i, as a mask
-        self.inner = [sum(1 << index[x] for x in g.adj[v] if x in index) for v in cover]
-        twins: dict[int, list[int]] = {}
-        for u in range(g.n):
-            if u not in index and g.adj[u]:
-                twins.setdefault(sum(1 << index[x] for x in g.adj[u]), []).append(u)
-        # (N_c as a mask, mu_c, radix_c, members ascending) per class
-        self.classes = []
-        radix = 1
-        for link, members in twins.items():
-            self.classes.append((link, len(members), radix, members))
-            radix *= len(members) + 1
-        self.memo: dict[int, int] = {}
-        # per code: the edges from each cover vertex to the class vertices
-        # that f leaves unplaced
-        self._outside = {0: [sum(mu for link, mu, _, _ in self.classes if link >> i & 1)
-                             for i in range(len(cover))]}
-        self.root = (0, 0, 0, g.m)
-
-    def moves(self, t: int, code: int, placed: int, unc: int) -> list[tuple[int, int, int, int, int]]:
-        """(i, t, code, placed, unc) after every vertex that may come next:
-        cover vertex i, or for i >= |S| a vertex of class i - |S|.  A class
-        vertex is offered only if it saves at least max(top - spare, 1)
-        edges, where spare is the class placements left and top the most
-        edges from an unplaced cover vertex to unplaced class vertices (the
-        savings floor of the module docstring)."""
-        rest = ~t
-        outside = self._outside[code]
-        out = []
+    def record(self, key: int, x: int, r: int, spare: int, unc: int, depth: int) -> int:
+        """Evaluate the state (X, R) = (x, r) of ``key``, with |X| = depth,
+        ``spare`` placements outside the cover left and unc > 0 uncovered
+        edges, into ``layers``.  A move packs the next state's togo with its
+        vertex, so the least of them is the optimum at its smallest vertex."""
+        full, shift, adj, digit, classes, layers, records = self._consts
+        below = layers[depth + 1]
+        free, out = full ^ x ^ r, ~x
+        best = None
         top = 0
-        for i, inner in enumerate(self.inner):
-            if rest >> i & 1:
-                w = outside[i]
-                if w > top:
-                    top = w
-                out.append((i, t | 1 << i, code, placed, unc - (inner & rest).bit_count() - w))
-        spare = self.budget - placed
+        rest = r
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            link = adj[v]
+            if spare > 0 and (link & free).bit_count() > top:
+                top = (link & free).bit_count()
+            left = unc - (link & out).bit_count()
+            move = v
+            if left:
+                after = key - digit[v]
+                rec = below.get(after)
+                if rec is None:
+                    rec = self.record(after, x | low, r ^ low, spare, left, depth + 1)
+                move |= rec >> shift << shift
+            if best is None or move < best:
+                best = move
         if spare > 0:
             floor = top - spare if top > spare + 1 else 1  # max(top - spare, 1), inlined
-            for c, (link, mu, radix, _) in enumerate(self.classes):
-                saved = (link & rest).bit_count()
-                if saved >= floor and code // radix % (mu + 1) < mu:
-                    after = code + radix
-                    if after not in self._outside:
-                        self._outside[after] = [w - (link >> i & 1) for i, w in enumerate(outside)]
-                    out.append((len(self.inner) + c, t, after, placed + 1, unc - saved))
-        return out
+            for link, members in classes:
+                avail = members & free
+                if avail and (saved := (link & r).bit_count()) >= floor:
+                    low = avail & -avail
+                    move = low.bit_length() - 1
+                    left = unc - saved
+                    if left:
+                        after = key + digit[move]
+                        rec = below.get(after)
+                        if rec is None:
+                            rec = self.record(after, x | low, r, spare - 1, left, depth + 1)
+                        move |= rec >> shift << shift
+                    if move < best:
+                        best = move
+        rec = (unc << shift) + best
+        rec = layers[depth][key] = records.setdefault(rec, rec)
+        return rec
 
-    def togo(self, t: int, code: int, placed: int, unc: int) -> int:
-        """The least chain cost of the prefixes from this state on."""
-        if not unc:
+    def togo(self, cover: tuple[int, ...]) -> int:
+        """togo at the root (empty, cover) of a minimal cover."""
+        if not self.m:
             return 0
-        key = code << len(self.inner) | t
-        value = self.memo.get(key)
-        if value is None:
-            for _, t2, code2, placed2, unc2 in self.moves(t, code, placed, unc):
-                later = self.togo(t2, code2, placed2, unc2)
-                if value is None or later < value:
-                    value = later
-            value = self.memo[key] = unc + value
-        return value
+        key, mask = 2 * sum(self.digit[v] for v in cover), sum(1 << v for v in cover)
+        return self.record(key, 0, mask, self.k - len(cover), self.m, 0) >> self.shift
 
-    def step(self, state: tuple, used: set[int], target: int):
-        """(v, state after v) for the smallest vertex v after which togo is
-        ``target``, or None; a class offers its smallest member not in
-        ``used``."""
-        best = None
-        for i, *after in self.moves(*state):
-            if i < len(self.cover):
-                v = self.cover[i]
-            else:
-                v = next(u for u in self.classes[i - len(self.cover)][3] if u not in used)
-            if (best is None or v < best[0]) and self.togo(*after) == target:
-                best = v, tuple(after)
-        return best
-
-
-def _dp_best(g: Graph, dps: list[_CoverDP]) -> Optional[tuple[int, list[int]]]:
-    """(cost, tight prefix of the witness) of the covers' optimum, or None
-    without a cover.  The witness walk follows every cover whose optimum is
-    the least; each step keeps those that reach it by the smallest vertex."""
-    costs = [dp.togo(*dp.root) for dp in dps]
-    if not costs:
-        return None
-    opt = min(costs)
-    live = {dp: dp.root for dp, cost in zip(dps, costs) if cost == opt}
-    prefix, used = [], set()
-    left, unc = opt, g.m  # opt less the charge of the prefixes before this one
-    while unc:
-        left -= unc
-        steps = [(step, dp) for dp, state in live.items() if (step := dp.step(state, used, left))]
-        if not steps:
-            raise InvariantError("no tight vertex during the twin-class DP witness walk")
-        v = min(step[0] for step, _ in steps)
-        live = {dp: step[1] for step, dp in steps if step[0] == v}
-        prefix.append(v)
-        used.add(v)
-        unc = next(iter(live.values()))[3]
-    return opt, prefix
+    def walk(self, roots: list[tuple[int, ...]]) -> list[int]:
+        """The tight prefix of the lexicographically smallest optimal
+        sequence, walked from the roots of the covers ``roots``, which all
+        attain the optimum."""
+        digit, first = self.digit, (1 << self.shift) - 1
+        live = {2 * sum(digit[v] for v in cover) for cover in roots}
+        prefix, x, unc = [], 0, self.m
+        while unc:
+            recs = [self.layers[len(prefix)].get(key) for key in live]
+            if None in recs:
+                raise InvariantError("a live state has no DP record during the witness walk")
+            v = min(rec & first for rec in recs)
+            # v leaves R (digit 2 -> 1) or joins X from outside (0 -> 1)
+            live = {key - digit[v] if key // digit[v] % 3 else key + digit[v]
+                    for key, rec in zip(live, recs) if rec & first == v}
+            unc -= (self.adj[v] & ~x).bit_count()
+            x |= 1 << v
+            prefix.append(v)
+        return prefix
 
 
 def branch_solve(inst: Instance) -> SolveResult:
@@ -245,29 +246,27 @@ def branch_solve(inst: Instance) -> SolveResult:
     start = time.perf_counter()
     g, w, k = inst.graph, inst.w, inst.k
     covers = enumerate_minimal_covers(g, k)
-    dps = [_CoverDP(g, cover, k) for cover in covers]
     incumbent = greedy_incumbent(g, k)
-    best = _dp_best(g, dps)
+    dp = _PrefixDP(g, k)
+    costs = [dp.togo(cover) for cover in covers]
     best_cost = best_ordering = None
-    if best is not None:
-        best_cost = best[0]
-        best_ordering = Ordering.from_prefix(best[1], g.n)
+    if costs:
+        best_cost = min(costs)
+        prefix = dp.walk([cover for cover, cost in zip(covers, costs) if cost == best_cost])
+        best_ordering = Ordering.from_prefix(prefix, g.n)
         report = evaluate(g, best_ordering)
         if report.total != best_cost or report.max_cost > k:
             raise InvariantError("branching witness failed re-verification")
     elif incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
-    stats = SolveStats(
-        covers_enumerated=len(covers),
-        elapsed=time.perf_counter() - start,
-        incumbent=incumbent,
-        dp_states=sum(len(dp.memo) for dp in dps),
-    )
     return SolveResult(
         decision=best_cost is not None and best_cost <= w,
         best_cost=best_cost,
-        best_ordering=best_ordering,
-        stats=stats,
+        sequence=None if best_ordering is None else best_ordering.sequence,
+        covers_enumerated=len(covers),
+        elapsed=time.perf_counter() - start,
+        incumbent=incumbent,
+        dp_states=sum(map(len, dp.layers)),
     )
 
 
@@ -277,31 +276,24 @@ def solve(inst: Instance) -> SolveResult:
     start = time.perf_counter()
     outcome = kernelize(inst)
     if isinstance(outcome, TrivialNo):
-        stats = SolveStats(0, time.perf_counter() - start)
-        return SolveResult(
-            decision=False,
-            best_cost=None,
-            best_ordering=None,
-            stats=stats,
-            trivial_no=outcome.rule,
-        )
+        return SolveResult(decision=False, best_cost=None, sequence=None, covers_enumerated=0,
+                           elapsed=time.perf_counter() - start, trivial_no=outcome.rule)
     if not isinstance(outcome, Kernel):
         raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     kernel_inst = outcome.instance
     offset = outcome.trace.w_offset
     sub = branch_solve(kernel_inst)
-    incumbent = sub.stats.incumbent
-    if incumbent is not None:
-        incumbent += offset
     total = lifted = None
     if sub.best_cost is not None:
-        lifted = lift(outcome, sub.best_ordering, inst)
+        lifted = lift(outcome, sub.best_ordering, inst).sequence
         total = sub.best_cost + offset
-    return SolveResult(
+    return replace(
+        sub,
         decision=total is not None and total <= inst.w,
         best_cost=total,
-        best_ordering=lifted,
-        stats=replace(sub.stats, elapsed=time.perf_counter() - start, incumbent=incumbent),
+        sequence=lifted,
+        elapsed=time.perf_counter() - start,
+        incumbent=None if sub.incumbent is None else sub.incumbent + offset,
         kernel_n=kernel_inst.graph.n,
         kernel_m=kernel_inst.graph.m,
         kernel_w=kernel_inst.w,

@@ -44,7 +44,8 @@ class DpTable:
     c prefixes, so on a vertex cover value[S] is the least total charge;
     elsewhere each edge with no end in S counts s + 1.  value[0] == m; masks
     of more than k vertices hold ``DP_UNFILLED``.  ``covers`` (int64): the
-    vertex covers of at most k vertices, by size, then ascending.
+    vertex covers of at most k vertices at the least value among them, by
+    size, then ascending.
     """
 
     value: np.ndarray
@@ -177,11 +178,15 @@ def build_dp_table(g: Graph, k: int) -> DpTable:
     value = np.full(1 << n, DP_UNFILLED, dtype=np.int32)
     value[0] = g.m
     layer, unc = np.zeros(1, dtype=np.int64), np.full(1, g.m, dtype=np.int32)
-    covers = [layer[(unc == 0) & (k >= 0)]]
-    for s in range(1, min(k, n) + 1):
-        layer, unc = _next_layer(layer, unc, adj)
-        value[layer] = _least(value, layer, s) + unc
-        covers.append(layer[unc == 0])
+    opt, covers = DP_UNFILLED, [layer[:0]]  # the least value of a cover so far, and its covers
+    for s in range(min(k, n) + 1):
+        if s:
+            layer, unc = _next_layer(layer, unc, adj)
+            value[layer] = _least(value, layer, s) + unc
+        found = layer[unc == 0]
+        if (low := int(value[found].min(initial=DP_UNFILLED))) < opt:
+            opt, covers = low, []
+        covers.append(found[value[found] == opt])
     return DpTable(value, np.concatenate(covers))
 
 
@@ -190,9 +195,7 @@ def optimal_covers(table: DpTable):
     attaining it, by size, then ascending; None when the table has no cover."""
     if table.covers.size == 0:
         return None
-    values = table.value[table.covers]
-    opt = int(values.min())
-    return opt, table.covers[values == opt]
+    return int(table.value[table.covers[0]]), table.covers
 
 
 def subset_dp_optimal(g: Graph, k: int):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from msvc import (
     GeneratorSpec,
     Instance,
+    InvariantError,
     Ordering,
     build_graph,
     brute_force_optimal,
@@ -19,7 +20,7 @@ from msvc import (
     generate,
     subset_dp_optimal,
 )
-from msvc.branching import _CoverDP, branch_solve, greedy_incumbent, solve
+from msvc.branching import _PrefixDP, branch_solve, greedy_incumbent, solve
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
@@ -531,6 +532,85 @@ def test_cover_optimum_matches_plain_dp():
     cases += [(g, range(g.n + 1)) for g in (twin_heavy(rng) for _ in range(4))]
     for g, ks in cases:
         for k in ks:
+            dp = _PrefixDP(g, k)
             for cover in enumerate_minimal_covers(g, k):
-                dp = _CoverDP(g, cover, k)
-                assert dp.togo(*dp.root) == cover_optimum(g, cover, k), (g.edges, k, cover)
+                assert dp.togo(cover) == cover_optimum(g, cover, k), (g.edges, k, cover)
+
+
+def decode(key, n):
+    """(X, R) of a prefix DP key, as the masks of the vertices whose base-3
+    digit is 1 and 2."""
+    x = r = 0
+    for v in range(n):
+        key, digit = divmod(key, 3)
+        x |= (digit == 1) << v
+        r |= (digit == 2) << v
+    return x, r
+
+
+def plain_state_dp(g, k):
+    """(togo, moves, unc) of the states (X, R) by a plain DP: a move places
+    any vertex of R or, while |X| + |R| < k, any other vertex not in X;
+    no twin classes and no savings floor."""
+    memo = {}
+
+    def unc(x):
+        return sum(1 for u, v in g.edges if not (x >> u | x >> v) & 1)
+
+    def moves(x, r):
+        spare = k - (x | r).bit_count()
+        return [v for v in range(g.n) if not x >> v & 1 and (r >> v & 1 or spare > 0)]
+
+    def togo(x, r):
+        if not unc(x):
+            return 0
+        if (x, r) not in memo:
+            memo[x, r] = unc(x) + min(togo(x | 1 << v, r & ~(1 << v)) for v in moves(x, r))
+        return memo[x, r]
+
+    return togo, moves, unc
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=9))
+def test_records_hold_the_smallest_optimal_move(inst):
+    """Every record of the prefix DP, at every k, holds its state's togo and
+    the smallest vertex whose move reaches it, as a plain DP over every
+    next vertex finds them."""
+    g = inst.graph
+    for k in range(g.n + 1):
+        dp = _PrefixDP(g, k)
+        for cover in enumerate_minimal_covers(g, k):
+            dp.togo(cover)
+        togo, moves, unc = plain_state_dp(g, k)
+        for layer in dp.layers:
+            for key, rec in layer.items():
+                x, r = decode(key, g.n)
+                best = togo(x, r)
+                first = min(v for v in moves(x, r)
+                            if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
+                got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
+                assert got == (best, first), (g.edges, k, x, r)
+
+
+def test_covers_share_states():
+    """On gnp8_worst at k = 8 the one memo holds fewer states than the
+    covers' own DPs do in all."""
+    g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
+    own = 0
+    for cover in enumerate_minimal_covers(g, 8):
+        dp = _PrefixDP(g, 8)
+        dp.togo(cover)
+        own += sum(map(len, dp.layers))
+    assert 0 < branch_solve(Instance(g, w=48, k=8)).stats.dp_states < own
+
+
+def test_walk_without_a_record_raises():
+    g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
+    dp = _PrefixDP(g, 8)
+    covers = enumerate_minimal_covers(g, 8)
+    costs = [dp.togo(cover) for cover in covers]
+    roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
+    dp.layers[2].clear()
+    with pytest.raises(InvariantError):
+        dp.walk(roots)

@@ -140,13 +140,16 @@ def test_dp_table_accounting():
 @pytest.mark.parametrize("k", [0, 2, 4, 6])
 def test_dp_table_fills_layers_up_to_k(k):
     """value[S] caps every charge at |S| + 1; masks above k stay unfilled,
-    and the covers are exactly the vertex covers of at most k vertices."""
+    and the covers kept are exactly the vertex covers of at most k vertices
+    at the least value among them."""
     g = generate(GeneratorSpec("gnp", (6, 0.4), seed=61))
     table = build_dp_table(g, k)
     sizes = [bin(mask).count("1") for mask in range(1 << g.n)]
     covers = [mask for mask in range(1 << g.n) if sizes[mask] <= k
               and all((mask >> u) & 1 or (mask >> v) & 1 for u, v in g.edges)]
-    assert table.covers.tolist() == sorted(covers, key=lambda mask: (sizes[mask], mask))
+    least = min((table.value[mask] for mask in covers), default=None)
+    best = [mask for mask in covers if table.value[mask] == least]
+    assert table.covers.tolist() == sorted(best, key=lambda mask: (sizes[mask], mask))
     for mask in range(1 << g.n):
         if sizes[mask] > k:
             assert table.value[mask] == oracles.DP_UNFILLED
