@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 import traceback
 from typing import Optional
 
@@ -56,16 +57,23 @@ def _search_counts(stats) -> dict:
     }
 
 
+def _timed_solve(inst: Instance, no_kernel: bool):
+    """(result, seconds) of ``branch_solve`` or ``solve`` on inst."""
+    start = time.perf_counter()
+    result = (branch_solve if no_kernel else solve)(inst)
+    return result, time.perf_counter() - start
+
+
 def cmd_solve(args) -> int:
     inst = read_instance(args.instance)
-    result = (branch_solve if args.no_kernel else solve)(inst)
+    result, elapsed = _timed_solve(inst, args.no_kernel)
     payload = {
         "decision": "yes" if result.decision else "no",
         "total_cost": result.best_cost,
         "max_cost": None,
         "ordering": None,
         "kernel": result.kernel_summary,
-        "stats": {**_search_counts(result.stats), "elapsed": result.stats.elapsed},
+        "stats": {**_search_counts(result.stats), "elapsed": elapsed},
     }
     if result.best_ordering is not None:
         payload["max_cost"] = evaluate(inst.graph, result.best_ordering).max_cost
@@ -180,7 +188,7 @@ def cmd_bench(args) -> int:
         for k in ks:
             w = k * g.m
             inst = Instance(graph=g, w=w, k=k)
-            result = (branch_solve if args.no_kernel else solve)(inst)
+            result, elapsed = _timed_solve(inst, args.no_kernel)
             row = {
                 "id": f"{spec.family}-{idx}-k{k}",
                 "n": g.n,
@@ -189,7 +197,7 @@ def cmd_bench(args) -> int:
                 "kernel_n": result.kernel_n,
                 "kernel_m": result.kernel_m,
                 **_search_counts(result.stats),
-                "time_ms": round(result.stats.elapsed * 1000.0, 3),
+                "time_ms": round(elapsed * 1000.0, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,
                 "oracle_cost": None if profile is None else profile[min(k, g.n)],

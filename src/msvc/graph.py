@@ -8,8 +8,10 @@ A ``Graph`` is two read-only int64 arrays ``eu < ev`` in lexicographic
 order.  The degree array and the tuple views ``edges``, ``adj`` and
 ``degrees`` are computed on first use and cached, so a graph that is only
 parsed, kernelized and written never builds a Python object per edge.
-``Ordering`` keeps its sequence tuple and builds the inverse position
-tuple on each access.
+``Ordering`` keeps its ids as packed bytes (one byte each up to n = 256,
+four beyond) and builds the ``sequence`` and ``position`` tuples on each
+access, so a witness that is only kept, costed, lifted or written never
+becomes a Python object per vertex.
 """
 
 from __future__ import annotations
@@ -162,17 +164,31 @@ def _permutation_error(arr: np.ndarray, n: int, low: int = 0) -> OrderingError:
     return OrderingError(f"vertex id {arr[i]} at position {i + 1} {why}")
 
 
+# An ordering packs its ids one byte each up to this many vertices, four
+# bytes each (uint32) beyond, so its byte length tells the width: at most
+# 256 for one byte, at least 4 * 257 = 1,028 for four.
+_BYTE_IDS = 256
+
+
+def _id_dtype(n: int) -> np.dtype:
+    return np.dtype(np.uint8 if n <= _BYTE_IDS else "<u4")
+
+
 @dataclass(frozen=True, slots=True)
 class Ordering:
     """Bijection between vertices and positions 1..n.
 
-    ``sequence[i]`` is the vertex at position i+1.  ``position[v]``, the
-    position of vertex v, is its exact inverse; it is built on each access,
-    so an ordering that is only kept or written holds one n-tuple.  A
-    witness fixes a prefix, and ``from_prefix`` is its one completion rule.
+    ``ids`` holds the vertex at each position as packed read-only bytes,
+    uint8 when n <= 256 and uint32 otherwise, and ``array`` views them
+    without a copy.  ``sequence`` (the tuple of ids, ``sequence[i]`` the
+    vertex at position i+1) and ``position`` (its exact inverse) are built
+    on each access, so an ordering that is only kept, costed or written
+    holds one bytes object.  Equal orderings have equal bytes, so ``==``
+    and ``hash`` work on them.  A witness fixes a prefix, and
+    ``from_prefix`` is its one completion rule.
     """
 
-    sequence: tuple[int, ...]
+    ids: bytes
 
     @staticmethod
     def from_sequence(seq: Sequence[int] | np.ndarray) -> "Ordering":
@@ -190,7 +206,10 @@ class Ordering:
         # leaves one too many
         if np.count_nonzero(rest) != n - len(head):
             raise _permutation_error(head, n)
-        return Ordering(sequence=tuple(head.tolist() + np.flatnonzero(rest).tolist()))
+        ids = np.empty(n, dtype=_id_dtype(n))
+        ids[: len(head)] = head
+        ids[len(head):] = np.flatnonzero(rest)
+        return Ordering(ids=ids.tobytes())
 
     @staticmethod
     def from_positions(position: Sequence[int]) -> "Ordering":
@@ -202,28 +221,37 @@ class Ordering:
             if sequence[p - 1] != -1:
                 raise OrderingError(f"position {p} of vertex {v} is already taken")
             sequence[p - 1] = v
-        return Ordering(sequence=tuple(sequence))
+        return Ordering.from_prefix(sequence, n)
 
     @staticmethod
     def identity(n: int) -> "Ordering":
-        return Ordering(sequence=tuple(range(n)))
-
-    @property
-    def position(self) -> tuple[int, ...]:
-        position = [0] * len(self.sequence)
-        for i, v in enumerate(self.sequence, 1):
-            position[v] = i
-        return tuple(position)
+        return Ordering(ids=np.arange(n, dtype=_id_dtype(n)).tobytes())
 
     @property
     def n(self) -> int:
-        return len(self.sequence)
+        size = len(self.ids)
+        return size if size <= _BYTE_IDS else size // 4
+
+    @property
+    def array(self) -> np.ndarray:
+        """The ids in position order, a read-only view of ``ids``."""
+        return np.frombuffer(self.ids, dtype=_id_dtype(self.n))
+
+    @property
+    def sequence(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    @property
+    def position(self) -> tuple[int, ...]:
+        position = np.empty(self.n, dtype=np.int64)
+        position[self.array] = np.arange(1, self.n + 1)
+        return tuple(position.tolist())
 
     def pos(self, v: int) -> int:
         return self.sequence.index(v) + 1
 
     def at(self, position: int) -> int:
-        return self.sequence[position - 1]
+        return int(self.array[position - 1])
 
 
 @dataclass(frozen=True)
@@ -274,7 +302,7 @@ def evaluate(g: Graph, ordering: Ordering) -> CostReport:
     if ordering.n != g.n:
         raise OrderingError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
     position = np.empty(g.n, dtype=np.int64)
-    position[np.asarray(ordering.sequence, dtype=np.int64)] = np.arange(1, g.n + 1)
+    position[ordering.array] = np.arange(1, g.n + 1)
     charge = np.minimum(position[g.eu], position[g.ev])
     r = np.bincount(charge - 1, minlength=g.n)
     total, max_cost = int(charge.sum()), int(charge.max(initial=0))

@@ -199,7 +199,7 @@ def write_ordering(ordering: Ordering) -> str:
     n = ordering.n
     if not n:
         return "\n"
-    text = _decimal_rows(np.array(ordering.sequence, dtype=np.int64)[:, None] + 1, b" ")
+    text = _decimal_rows(ordering.array[:, None] + np.int64(1), b" ")
     text[-1] = ord("\n")
     return text.tobytes().decode("ascii")
 

@@ -382,7 +382,7 @@ def lift(kernel: Kernel, kernel_ord: Ordering, original: Instance) -> Ordering:
     trace = kernel.trace
     kernel_total = evaluate(kernel.instance.graph, kernel_ord).total
     vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
-    kept = vertex_map[np.asarray(kernel_ord.sequence, dtype=np.int64)]
+    kept = vertex_map[kernel_ord.array]
     lifted = Ordering.from_prefix(kept[kept >= 0], original.graph.n)
     report = evaluate(original.graph, lifted)
     if report.total != kernel_total + trace.w_offset:

@@ -571,26 +571,53 @@ def plain_state_dp(g, k):
     return togo, moves, unc
 
 
+def capped_dp(g, k):
+    """The prefix DP of branch_solve on (g, k): every cover's root evaluated
+    under the greedy incumbent's cap, tightened by the covers before it."""
+    dp = _PrefixDP(g, k)
+    dp.costs(enumerate_minimal_covers(g, k), greedy_incumbent(g, k))
+    return dp
+
+
+def check_records(g, k):
+    """Every exact record of the capped prefix DP holds its state's togo and
+    the smallest vertex whose move reaches it, as a plain DP over every next
+    vertex finds them; every lower-bound record is at most its state's togo.
+    Returns the number of lower-bound records."""
+    dp = capped_dp(g, k)
+    togo, moves, unc = plain_state_dp(g, k)
+    cut = 0
+    for layer in dp.layers:
+        for key, rec in layer.items():
+            x, r = decode(key, g.n)
+            best = togo(x, r)
+            if rec < 0:
+                assert 0 < -rec >> dp.shift <= best, (g.edges, k, x, r)
+                cut += 1
+                continue
+            first = min(v for v in moves(x, r)
+                        if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
+            got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
+            assert got == (best, first), (g.edges, k, x, r)
+    return cut
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(max_n=9))
 def test_records_hold_the_smallest_optimal_move(inst):
-    """Every record of the prefix DP, at every k, holds its state's togo and
-    the smallest vertex whose move reaches it, as a plain DP over every
-    next vertex finds them."""
-    g = inst.graph
-    for k in range(g.n + 1):
-        dp = _PrefixDP(g, k)
-        for cover in enumerate_minimal_covers(g, k):
-            dp.togo(cover)
-        togo, moves, unc = plain_state_dp(g, k)
-        for layer in dp.layers:
-            for key, rec in layer.items():
-                x, r = decode(key, g.n)
-                best = togo(x, r)
-                first = min(v for v in moves(x, r)
-                            if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
-                got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
-                assert got == (best, first), (g.edges, k, x, r)
+    for k in range(inst.graph.n + 1):
+        check_records(inst.graph, k)
+
+
+def test_capped_records_hold_on_fixed_graphs():
+    # graphs where the incumbent cap cuts states, so that lower-bound
+    # records are checked too
+    cut = 0
+    for g, k in ((generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
+                 (generate(GeneratorSpec("claw_chain", (2,))), 7),
+                 (generate(GeneratorSpec("gnp", (9, 0.45), seed=31)), 7)):
+        cut += check_records(g, k)
+    assert cut > 0
 
 
 def test_covers_share_states():
@@ -614,3 +641,66 @@ def test_walk_without_a_record_raises():
     dp.layers[2].clear()
     with pytest.raises(InvariantError):
         dp.walk(roots)
+
+
+def test_walk_through_a_lower_bound_record_raises():
+    g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
+    dp = _PrefixDP(g, 8)
+    covers = enumerate_minimal_covers(g, 8)
+    costs = dp.costs(covers, greedy_incumbent(g, 8))
+    roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
+    assert dp.walk(roots)
+    # the same togo, recorded as a lower bound: the walk must not trust it
+    for key, rec in dp.layers[2].items():
+        dp.layers[2][key] = -(abs(rec) >> dp.shift << dp.shift)
+    with pytest.raises(InvariantError):
+        dp.walk(roots)
+
+
+N19 = build_graph(19, [(0, 3), (0, 4), (0, 6), (0, 9), (0, 10), (0, 12), (0, 14), (0, 16), (0, 18),
+                       (1, 6), (1, 11), (2, 6), (2, 11), (2, 15), (3, 6), (3, 15), (4, 6), (4, 15),
+                       (5, 11), (6, 8), (6, 10), (6, 11), (6, 12), (6, 14), (6, 15), (7, 11),
+                       (7, 15), (8, 11), (9, 11), (11, 12), (11, 13), (11, 14), (11, 17), (11, 18),
+                       (12, 15), (13, 15)])
+
+
+def test_large_covers_at_large_k_match_subset_dp():
+    """The n = 19 graph has large minimal covers, so at large k the savings
+    floor barely cuts: without the incumbent cap its DP took 911,407 states
+    at k = 16 and 2.3 million at k = 18."""
+    for k in range(14, 20):
+        inst = Instance(N19, w=k * N19.m, k=k)
+        same_as_subset_dp(inst)
+        assert branch_solve(inst).dp_states < 1_000
+
+
+def test_reevaluations_stay_bounded():
+    """A lower-bound record is evaluated again when a larger cap reaches it;
+    moves are tried best saving first, so that is rare."""
+    calls = []
+    record = _PrefixDP.record
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return record(self, *args)
+
+    for g, k in ((generate(GeneratorSpec("claw_chain", (9,))), 10),
+                 (generate(GeneratorSpec("claw_chain", (4,))), 10),
+                 (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
+                 (N19, 16)):
+        calls.clear()
+        _PrefixDP.record = counted
+        try:
+            r = branch_solve(Instance(g, w=0, k=k))
+        finally:
+            _PrefixDP.record = record
+        assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
+
+
+def test_greedy_incumbent_stops_past_k():
+    # a perfect matching on 20,000 vertices: the greedy ordering takes
+    # 10,000 steps, so at k = 3 its answer is None after 4
+    g = build_graph(20_000, [(2 * i, 2 * i + 1) for i in range(10_000)])
+    start = time.perf_counter()
+    assert greedy_incumbent(g, 3) is None
+    assert time.perf_counter() - start < 1.0

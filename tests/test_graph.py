@@ -131,6 +131,43 @@ def test_ordering_position_is_inverse_of_sequence():
     assert Ordering.identity(0).position == ()
 
 
+@pytest.mark.parametrize("n, width", [(255, 1), (256, 1), (257, 4)])
+def test_ordering_packs_ids_by_n(n, width):
+    # one byte per id up to n = 256, four beyond, so the byte length tells
+    # the width: at most 256 bytes, or at least 4 * 257
+    o = Ordering.from_prefix([n - 1], n)
+    assert len(o.ids) == width * n and o.n == n
+    assert o.array.dtype.itemsize == width and not o.array.flags.writeable
+    assert o.sequence == (n - 1,) + tuple(range(n - 1))
+    assert Ordering.identity(n).ids == np.arange(n, dtype=o.array.dtype).tobytes()
+
+
+def test_max_vertices_fit_packed_ids():
+    assert msvc.graph.MAX_VERTICES < 2**32
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 256, 300])
+def test_packed_ordering_agrees_with_tuple_form(n):
+    rng = np.random.default_rng(n)
+    seqs = [tuple(rng.permutation(n).tolist()) for _ in range(4)] + [tuple(range(n))]
+    orderings = [Ordering.from_sequence(seq) for seq in seqs]
+    for seq, o in zip(seqs, orderings):
+        assert o.sequence == seq and all(type(v) is int for v in o.sequence)
+        position = [0] * n
+        for i, v in enumerate(seq, 1):
+            position[v] = i
+        assert o.position == tuple(position)
+        assert Ordering.from_positions(position) == o
+        assert o.n == n and list(o.array) == list(seq)
+    for a, sa in zip(orderings, seqs):
+        for b, sb in zip(orderings, seqs):
+            assert (a == b) == (sa == sb)
+            if sa == sb:
+                assert hash(a) == hash(b)
+    assert len(set(orderings)) == len(set(seqs))
+    assert Ordering.identity(n) == orderings[-1]
+
+
 def test_is_feasible_examples():
     inst = Instance(p3(), w=2, k=1)
     assert is_feasible(inst, Ordering.from_sequence([1, 0, 2]))

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,16 @@ def test_ordering_roundtrip():
     text = write_ordering(ordering)
     assert text == "2 1 3\n"
     assert parse_ordering(text, 3) == ordering
+
+
+def test_write_ordering_matches_join_on_a_large_ordering():
+    # 600,000 ids: the four-byte form, written from the packed array
+    seq = np.random.default_rng(11).permutation(600_000)
+    ordering = Ordering.from_sequence(seq)
+    assert len(ordering.ids) == 4 * 600_000
+    assert write_ordering(ordering) == " ".join(str(v + 1) for v in seq.tolist()) + "\n"
+    # the one-byte form, up to its largest id
+    assert write_ordering(Ordering.identity(256)) == " ".join(map(str, range(1, 257))) + "\n"
 
 
 def test_parse_ordering_rejects_repeat():
