@@ -571,20 +571,14 @@ def plain_state_dp(g, k):
     return togo, moves, unc
 
 
-def capped_dp(g, k):
-    """The prefix DP of branch_solve on (g, k): every cover's root evaluated
-    under the greedy incumbent's cap, tightened by the covers before it."""
+def check_records(g, k):
+    """Every exact record of the prefix DP, capped as branch_solve caps it,
+    holds its state's togo and the smallest vertex whose move reaches it,
+    as a plain DP over every next vertex finds them; every lower-bound
+    record is at most its state's togo.  Returns the number of lower-bound
+    records."""
     dp = _PrefixDP(g, k)
     dp.costs(enumerate_minimal_covers(g, k), greedy_incumbent(g, k))
-    return dp
-
-
-def check_records(g, k):
-    """Every exact record of the capped prefix DP holds its state's togo and
-    the smallest vertex whose move reaches it, as a plain DP over every next
-    vertex finds them; every lower-bound record is at most its state's togo.
-    Returns the number of lower-bound records."""
-    dp = capped_dp(g, k)
     togo, moves, unc = plain_state_dp(g, k)
     cut = 0
     for layer in dp.layers:
@@ -674,9 +668,9 @@ def test_large_covers_at_large_k_match_subset_dp():
         assert branch_solve(inst).dp_states < 1_000
 
 
-def test_reevaluations_stay_bounded():
+def test_reevaluations_stay_bounded(monkeypatch):
     """A lower-bound record is evaluated again when a larger cap reaches it;
-    moves are tried best saving first, so that is rare."""
+    moves are tried most edges covered first, so that is rare."""
     calls = []
     record = _PrefixDP.record
 
@@ -684,16 +678,13 @@ def test_reevaluations_stay_bounded():
         calls.append(args[0])
         return record(self, *args)
 
+    monkeypatch.setattr(_PrefixDP, "record", counted)
     for g, k in ((generate(GeneratorSpec("claw_chain", (9,))), 10),
                  (generate(GeneratorSpec("claw_chain", (4,))), 10),
                  (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
                  (N19, 16)):
         calls.clear()
-        _PrefixDP.record = counted
-        try:
-            r = branch_solve(Instance(g, w=0, k=k))
-        finally:
-            _PrefixDP.record = record
+        r = branch_solve(Instance(g, w=0, k=k))
         assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
 
 
