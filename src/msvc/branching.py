@@ -62,8 +62,8 @@ when its max charge is at most k, the DP must find an ordering too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .graph import Graph, Instance, InvariantError, Ordering, evaluate
 from .covers import enumerate_minimal_covers
@@ -94,51 +94,112 @@ class SolveStats:
         return 0
 
 
+class SolveFigures(NamedTuple):
+    """The fields of a ``SolveResult``, unpacked.  ``tail`` is the witness's
+    packed ids (see ``Ordering``), or, without a witness, the name of the
+    kernel rule that proved a trivial no (empty if none did)."""
+
+    best_cost: Optional[int]
+    w: int
+    covers_enumerated: int
+    incumbent: Optional[int]
+    dp_states: int
+    kernel_n: Optional[int]
+    kernel_m: Optional[int]
+    w_offset: Optional[int]
+    tail: bytes
+
+
 @dataclass(frozen=True, slots=True)
 class SolveResult:
     """Outcome of one solve: the least total charge with max charge <= k
     (None when no ordering has one, or a kernel rule proved a no), its
-    witness as packed ids (see ``Ordering``), the budget ``w`` it is
-    compared with and the search counters.  ``solve`` also records the
-    kernel's n and m and the budget offset of its rules, or the rule that
-    proved a trivial no; ``branch_solve`` leaves them None.  Every field is
-    a plain value, and ``decision``, ``best_ordering``, ``stats`` and
-    ``kernel_summary`` are built on each access, as a caller may keep many
-    results."""
+    witness, the budget ``w`` it is compared with and the search counters.
+    ``solve`` also records the kernel's n and m and the budget offset of
+    its rules, or the rule that proved a trivial no; ``branch_solve`` leaves
+    them None.
 
-    best_cost: Optional[int]
-    ids: Optional[bytes]
-    w: int
-    covers_enumerated: int
-    incumbent: Optional[int] = None
-    dp_states: int = 0
-    kernel_n: Optional[int] = None
-    kernel_m: Optional[int] = None
-    w_offset: Optional[int] = None
-    trivial_no: Optional[str] = None
+    A caller may keep many results, so one result is one bytes ``record``:
+    the figures of ``SolveFigures`` in its order, each a base-128 varint of
+    value + 1 (0 for None), then the tail.  With a small witness that is
+    112 B, where a field per figure and a separate witness took 160.  Build
+    one with ``pack``; every field is decoded on access."""
+
+    record: bytes
+
+    @staticmethod
+    def pack(best_cost: Optional[int], ids: Optional[bytes], w: int, covers_enumerated: int,
+             incumbent: Optional[int] = None, dp_states: int = 0, kernel_n: Optional[int] = None,
+             kernel_m: Optional[int] = None, w_offset: Optional[int] = None,
+             trivial_no: Optional[str] = None) -> "SolveResult":
+        out = bytearray()
+        for v in (best_cost, w, covers_enumerated, incumbent, dp_states, kernel_n, kernel_m, w_offset):
+            v = 0 if v is None else v + 1
+            while v > 0x7F:
+                out.append(v & 0x7F | 0x80)
+                v >>= 7
+            out.append(v)
+        out += ids if ids is not None else (trivial_no or "").encode()
+        return SolveResult(bytes(out))
+
+    def unpack(self) -> SolveFigures:
+        record, figures, at = self.record, [], 0
+        while len(figures) < len(SolveFigures._fields) - 1:
+            v = shift = 0
+            while True:
+                byte = record[at]
+                at += 1
+                v |= (byte & 0x7F) << shift
+                shift += 7
+                if byte < 0x80:
+                    break
+            figures.append(v - 1 if v else None)
+        return SolveFigures(*figures, record[at:])
+
+    best_cost = property(lambda self: self.unpack().best_cost)
+    w = property(lambda self: self.unpack().w)
+    covers_enumerated = property(lambda self: self.unpack().covers_enumerated)
+    incumbent = property(lambda self: self.unpack().incumbent)
+    dp_states = property(lambda self: self.unpack().dp_states)
+    kernel_n = property(lambda self: self.unpack().kernel_n)
+    kernel_m = property(lambda self: self.unpack().kernel_m)
+    w_offset = property(lambda self: self.unpack().w_offset)
+
+    @property
+    def ids(self) -> Optional[bytes]:
+        f = self.unpack()
+        return None if f.best_cost is None else f.tail
+
+    @property
+    def trivial_no(self) -> Optional[str]:
+        f = self.unpack()
+        return f.tail.decode() if f.best_cost is None and f.tail else None
 
     @property
     def decision(self) -> bool:
-        return self.best_cost is not None and self.best_cost <= self.w
+        f = self.unpack()
+        return f.best_cost is not None and f.best_cost <= f.w
 
     @property
     def best_ordering(self) -> Optional[Ordering]:
-        return None if self.ids is None else Ordering(self.ids)
+        ids = self.ids
+        return None if ids is None else Ordering(ids)
 
     @property
     def stats(self) -> SolveStats:
-        return SolveStats(self.covers_enumerated, self.incumbent, self.dp_states)
+        f = self.unpack()
+        return SolveStats(f.covers_enumerated, f.incumbent, f.dp_states)
 
     @property
     def kernel_summary(self) -> Optional[dict]:
         """{"trivial_no": rule}, the kernel's {"n", "m", "w", "w_offset"},
         or None without a kernel; built on each access."""
-        if self.trivial_no is not None:
-            return {"trivial_no": self.trivial_no}
-        if self.kernel_n is None:
+        if (rule := self.trivial_no) is not None:
+            return {"trivial_no": rule}
+        f = self.unpack()
+        if f.kernel_n is None:
             return None
-        return {"n": self.kernel_n, "m": self.kernel_m, "w": self.w - self.w_offset,
-                "w_offset": self.w_offset}
+        return {"n": f.kernel_n, "m": f.kernel_m, "w": f.w - f.w_offset, "w_offset": f.w_offset}
 
 
 def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
@@ -323,14 +384,7 @@ def branch_solve(inst: Instance) -> SolveResult:
         ids = best_ordering.ids
     elif incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
-    return SolveResult(
-        best_cost=best_cost,
-        ids=ids,
-        w=inst.w,
-        covers_enumerated=len(covers),
-        incumbent=incumbent,
-        dp_states=sum(map(len, dp.layers)),
-    )
+    return SolveResult.pack(best_cost, ids, inst.w, len(covers), incumbent, sum(map(len, dp.layers)))
 
 
 def solve(inst: Instance) -> SolveResult:
@@ -338,23 +392,20 @@ def solve(inst: Instance) -> SolveResult:
     witness back to the original graph, where ``lift`` re-verifies it."""
     outcome = kernelize(inst)
     if isinstance(outcome, TrivialNo):
-        return SolveResult(best_cost=None, ids=None, w=inst.w, covers_enumerated=0,
-                           trivial_no=outcome.rule)
+        return SolveResult.pack(None, None, inst.w, 0, trivial_no=outcome.rule)
     if not isinstance(outcome, Kernel):
         raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     kernel_inst = outcome.instance
     offset = outcome.trace.w_offset
-    sub = branch_solve(kernel_inst)
+    sub = branch_solve(kernel_inst).unpack()
     total = lifted = None
     if sub.best_cost is not None:
-        lifted = lift(outcome, sub.best_ordering, inst).ids
+        lifted = lift(outcome, Ordering(sub.tail), inst).ids
         total = sub.best_cost + offset
-    return replace(
-        sub,
-        best_cost=total,
-        ids=lifted,
-        w=inst.w,
+    return SolveResult.pack(
+        total, lifted, inst.w, sub.covers_enumerated,
         incumbent=None if sub.incumbent is None else sub.incumbent + offset,
+        dp_states=sub.dp_states,
         kernel_n=kernel_inst.graph.n,
         kernel_m=kernel_inst.graph.m,
         w_offset=offset,

@@ -20,7 +20,7 @@ from msvc import (
     generate,
     subset_dp_optimal,
 )
-from msvc.branching import _PrefixDP, branch_solve, greedy_incumbent, solve
+from msvc.branching import SolveFigures, SolveResult, _PrefixDP, branch_solve, greedy_incumbent, solve
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
@@ -686,6 +686,21 @@ def test_reevaluations_stay_bounded(monkeypatch):
         calls.clear()
         r = branch_solve(Instance(g, w=0, k=k))
         assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
+
+
+def test_solve_result_record_round_trips():
+    """A result packs its figures as varints, so large and None figures come
+    back as they went in, and the tail is the witness or the rule."""
+    figures = (10**12, 2**70, 300, None, 123456, 3, 2, 0)
+    r = SolveResult.pack(figures[0], bytes([1, 0, 2]), *figures[1:])
+    assert r.unpack() == SolveFigures(*figures, bytes([1, 0, 2]))
+    assert r.decision and r.best_ordering.sequence == (1, 0, 2) and r.trivial_no is None
+    assert r.kernel_summary == {"n": 3, "m": 2, "w": 2**70, "w_offset": 0}
+    no = SolveResult.pack(None, None, 5, 0, trivial_no="rule3")
+    assert not no.decision and no.ids is None and no.kernel_summary == {"trivial_no": "rule3"}
+    empty = SolveResult.pack(0, b"", 0, 0)
+    assert empty.decision and empty.best_ordering == Ordering.identity(0)
+    assert empty.trivial_no is None and empty.kernel_summary is None
 
 
 def test_greedy_incumbent_stops_past_k():
