@@ -121,9 +121,9 @@ class SolveResult:
 
     A caller may keep many results, so one result is one bytes ``record``:
     the figures of ``SolveFigures`` in its order, each a base-128 varint of
-    value + 1 (0 for None), then the tail.  With a small witness that is
-    112 B, where a field per figure and a separate witness took 160.  Build
-    one with ``pack``; every field is decoded on access."""
+    value + 1 (0 for None), then the tail; with a small witness the result
+    takes 112 B, a 48-B object and a 64-B record.  Build one with ``pack``;
+    every field is decoded on access."""
 
     record: bytes
 
