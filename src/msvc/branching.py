@@ -123,7 +123,8 @@ class SolveResult:
     the figures of ``SolveFigures`` in its order, each a base-128 varint of
     value + 1 (0 for None), then the tail; with a small witness the result
     takes 112 B, a 48-B object and a 64-B record.  Build one with ``pack``;
-    every field is decoded on access."""
+    ``unpack`` decodes every figure, and the properties below decode on
+    each access."""
 
     record: bytes
 
@@ -157,13 +158,8 @@ class SolveResult:
         return SolveFigures(*figures, record[at:])
 
     best_cost = property(lambda self: self.unpack().best_cost)
-    w = property(lambda self: self.unpack().w)
-    covers_enumerated = property(lambda self: self.unpack().covers_enumerated)
-    incumbent = property(lambda self: self.unpack().incumbent)
-    dp_states = property(lambda self: self.unpack().dp_states)
     kernel_n = property(lambda self: self.unpack().kernel_n)
     kernel_m = property(lambda self: self.unpack().kernel_m)
-    w_offset = property(lambda self: self.unpack().w_offset)
 
     @property
     def ids(self) -> Optional[bytes]:

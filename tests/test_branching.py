@@ -665,7 +665,7 @@ def test_large_covers_at_large_k_match_subset_dp():
     for k in range(14, 20):
         inst = Instance(N19, w=k * N19.m, k=k)
         same_as_subset_dp(inst)
-        assert branch_solve(inst).dp_states < 1_000
+        assert branch_solve(inst).stats.dp_states < 1_000
 
 
 def test_reevaluations_stay_bounded(monkeypatch):
@@ -685,7 +685,7 @@ def test_reevaluations_stay_bounded(monkeypatch):
                  (N19, 16)):
         calls.clear()
         r = branch_solve(Instance(g, w=0, k=k))
-        assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
+        assert len(calls) <= 1.25 * r.stats.dp_states, (g, k, len(calls), r.stats.dp_states)
 
 
 def test_solve_result_record_round_trips():
