@@ -157,6 +157,9 @@ class SolveResult:
             figures.append(v - 1 if v else None)
         return SolveFigures(*figures, record[at:])
 
+    def __repr__(self) -> str:
+        return f"SolveResult({self.unpack()!r})"
+
     best_cost = property(lambda self: self.unpack().best_cost)
     kernel_n = property(lambda self: self.unpack().kernel_n)
     kernel_m = property(lambda self: self.unpack().kernel_m)
