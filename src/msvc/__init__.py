@@ -48,7 +48,6 @@ from .kernel import (
 from .branching import (
     SolveFigures,
     SolveResult,
-    SolveStats,
     branch_solve,
     solve,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "rule4_apply",
     "SolveFigures",
     "SolveResult",
-    "SolveStats",
     "branch_solve",
     "solve",
     "DpTable",

@@ -17,8 +17,9 @@ S, which lies in X + R; so the least chain cost of the prefixes from X on,
     togo(X, R) = unc(X) + the least togo one vertex later,
 
 and 0 once X covers every edge, depends on (X, R) only, and one memo holds
-the states of all covers.  Vertices with the same neighbors (false twins)
-are interchangeable, so a move places a vertex of R or the smallest member
+the states of all covers, each keyed by the one int X | R << n of the two
+vertex masks.  Vertices with the same neighbors (false twins) are
+interchangeable, so a move places a vertex of R or the smallest member
 outside X + R of a twin class; degree-0 vertices join no class, and a
 vertex of R is not placed once all its edges are covered, as either would
 only repeat a prefix's charge.  Moves are made in the DP pass only, which
@@ -70,34 +71,15 @@ from .covers import enumerate_minimal_covers
 from .kernel import Kernel, TrivialNo, kernelize, lift
 
 
-@dataclass(frozen=True, slots=True)
-class SolveStats:
-    """Search counters of one solve: the minimal covers enumerated, the
-    distinct (X, R) states of the prefix DP evaluated across all of them
-    (a state reached from several covers counts once), and ``incumbent``, the
-    greedy ordering's cost (on the scale of ``best_cost``, kernel offset
-    included), or None when that ordering's max charge exceeds k.
-    """
-
-    covers_enumerated: int
-    incumbent: Optional[int] = None
-    dp_states: int = 0
-
-    @property
-    def mappings_tried(self) -> int:
-        """``dp_states``, under the name the benchmark harness reads."""
-        return self.dp_states
-
-    @property
-    def branches(self) -> int:
-        """Always 0; kept only because the benchmark harness reads it."""
-        return 0
-
-
 class SolveFigures(NamedTuple):
-    """The fields of a ``SolveResult``, unpacked.  ``tail`` is the witness's
-    packed ids (see ``Ordering``), or, without a witness, the name of the
-    kernel rule that proved a trivial no (empty if none did)."""
+    """The fields of a ``SolveResult``, unpacked.  The search counters are
+    the minimal covers enumerated, the distinct (X, R) states of the prefix
+    DP evaluated across all of them (a state reached from several covers
+    counts once), and ``incumbent``, the greedy ordering's cost (on the
+    scale of ``best_cost``, kernel offset included), or None when that
+    ordering's max charge exceeds k.  ``tail`` is the witness's packed ids
+    (see ``Ordering``), or, without a witness, the name of the kernel rule
+    that proved a trivial no (empty if none did)."""
 
     best_cost: Optional[int]
     w: int
@@ -108,6 +90,16 @@ class SolveFigures(NamedTuple):
     kernel_m: Optional[int]
     w_offset: Optional[int]
     tail: bytes
+
+    @property
+    def mappings_tried(self) -> int:
+        """``dp_states``, under the name the benchmark harness reads."""
+        return self.dp_states
+
+    @property
+    def branches(self) -> int:
+        """Always 0; kept only because the benchmark harness reads it."""
+        return 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +176,7 @@ class SolveResult:
         ids = self.ids
         return None if ids is None else Ordering(ids)
 
-    @property
-    def stats(self) -> SolveStats:
-        f = self.unpack()
-        return SolveStats(f.covers_enumerated, f.incumbent, f.dp_states)
+    stats = property(unpack)
 
     @property
     def kernel_summary(self) -> Optional[dict]:
@@ -224,25 +213,21 @@ def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
 
 
 class _PrefixDP:
-    """The prefix DP of one solve.  A state's key holds X and R as the
-    base-3 digits 1 and 2 of their vertices, below 2**30 (a 28-byte int) up
-    to n = 18.  ``layers[d]`` maps the key of each state evaluated with
-    |X| = d that still has an uncovered edge to its record: togo << ``shift``
-    | the smallest vertex of an optimal move if the state was within its
-    cap, else -(a lower bound on togo << ``shift``).  Equal records are
-    stored once, and the memo is split by |X| so that no dict grows through
-    a large resize."""
+    """The prefix DP of one solve.  A state's key is the int x | r << n of
+    the vertex masks of X and R; |X| + |R| is its bit count.  ``memo`` maps
+    the key of each state evaluated that still has an uncovered edge to its
+    record: togo << ``shift`` | the smallest vertex of an optimal move if the
+    state was within its cap, else -(a lower bound on togo << ``shift``)."""
 
     def __init__(self, g: Graph, k: int):
-        self.m, self.k = g.m, k
+        self.n, self.m, self.k = g.n, g.m, k
         self.shift = g.n.bit_length()
         self.adj = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
-        self.digit = [3**v for v in range(g.n)]
         twins: dict[int, int] = {}  # N(u) -> its members, both as masks
         for u, link in enumerate(self.adj):
             if link:
                 twins[link] = twins.get(link, 0) | 1 << u
-        self.layers: list[dict[int, int]] = [{} for _ in range(min(k, g.n) + 1)]
+        self.memo: dict[int, int] = {}
         classes = tuple(twins.items())
         # bound[u]: u + (u - D) + (u - 2D) + ..., the least togo of a state
         # with u uncovered edges
@@ -250,21 +235,19 @@ class _PrefixDP:
         bound = [0] * (g.m + 1)
         for u in range(1, g.m + 1):
             bound[u] = u + bound[max(u - top, 0)]
-        # the dict maps each distinct record to the one object stored
-        self._consts = (1 << g.n) - 1, self.shift, self.adj, self.digit, classes, self.layers, {}, bound
+        self._consts = (1 << g.n) - 1, g.n, k, self.shift, self.adj, classes, self.memo, bound
 
-    def record(self, key: int, x: int, r: int, spare: int, unc: int, depth: int, cap: int) -> int:
-        """Evaluate the state (X, R) = (x, r) of ``key``, with |X| = depth,
-        ``spare`` placements outside the cover left and unc > 0 uncovered
-        edges, into ``layers`` under ``cap``, and return its record.  A move
-        packs the next state's togo, or a lower bound on it, with its
-        vertex, so the least of them is the optimum at its smallest vertex.
-        A next state is evaluated (again, if its record is a lower bound
-        within cap - unc) only when its bound is within cap - unc; so every
-        move within cap - unc is exact, and if none is, the state's togo is
-        above cap."""
-        full, shift, adj, digit, classes, layers, records, bound = self._consts
-        below = layers[depth + 1]
+    def record(self, key: int, unc: int, cap: int) -> int:
+        """Evaluate the state of ``key``, which has unc > 0 uncovered edges,
+        into ``memo`` under ``cap``, and return its record.  A move packs
+        the next state's togo, or a lower bound on it, with its vertex, so
+        the least of them is the optimum at its smallest vertex.  A next
+        state is evaluated (again, if its record is a lower bound within
+        cap - unc) only when its bound is within cap - unc; so every move
+        within cap - unc is exact, and if none is, the state's togo is above
+        cap."""
+        full, n, k, shift, adj, classes, memo, bound = self._consts
+        x, r, spare = key & full, key >> n, k - key.bit_count()
         room = cap - unc
         first = (1 << shift) - 1
         free, out = full ^ x ^ r, ~x
@@ -304,12 +287,10 @@ class _PrefixDP:
                     best = move
                 break
             low = 1 << v
-            inside = low & r  # v leaves R (digit 2 -> 1), else joins X from outside (0 -> 1)
-            after = key - digit[v] if inside else key + digit[v]
-            rec = below.get(after)
+            after = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
+            rec = memo.get(after)
             if rec is None or rec < 0 and -rec >> shift <= room:
-                rec = self.record(after, x | low, r ^ inside, spare if inside else spare - 1, left,
-                                  depth + 1, room)
+                rec = self.record(after, left, room)
             move = v | (rec >> shift << shift if rec >= 0 else -rec)
             if best is None or move < best:
                 best = move
@@ -317,7 +298,7 @@ class _PrefixDP:
             rec = (unc << shift) + best
         else:
             rec = -((unc << shift) + (best >> shift << shift))
-        rec = layers[depth][key] = records.setdefault(rec, rec)
+        memo[key] = rec
         return rec
 
     def togo(self, cover: tuple[int, ...], cap: Optional[int] = None) -> int:
@@ -327,8 +308,7 @@ class _PrefixDP:
             return 0
         if cap is None:
             cap = self.m * self.k  # no ordering of the DP charges an edge more than k
-        key, mask = 2 * sum(self.digit[v] for v in cover), sum(1 << v for v in cover)
-        rec = self.record(key, 0, mask, self.k - len(cover), self.m, 0, cap)
+        rec = self.record(sum(1 << v for v in cover) << self.n, self.m, cap)
         return (rec if rec >= 0 else -rec) >> self.shift
 
     def costs(self, covers: list[tuple[int, ...]], incumbent: Optional[int]) -> list[int]:
@@ -347,19 +327,18 @@ class _PrefixDP:
         """The tight prefix of the lexicographically smallest optimal
         sequence, walked from the roots of the covers ``roots``, which all
         attain the optimum, through exact records only."""
-        digit, first = self.digit, (1 << self.shift) - 1
-        live = {2 * sum(digit[v] for v in cover) for cover in roots}
+        n, first = self.n, (1 << self.shift) - 1
+        live = {sum(1 << v for v in cover) << n for cover in roots}
         prefix, x, unc = [], 0, self.m
         while unc:
-            recs = [self.layers[len(prefix)].get(key, -1) for key in live]
+            recs = [self.memo.get(key, -1) for key in live]
             if min(recs) < 0:
                 raise InvariantError("a live state has no exact DP record during the witness walk")
             v = min(rec & first for rec in recs)
-            # v leaves R (digit 2 -> 1) or joins X from outside (0 -> 1)
-            live = {key - digit[v] if key // digit[v] % 3 else key + digit[v]
-                    for key, rec in zip(live, recs) if rec & first == v}
+            low = 1 << v
+            live = {(key | low) & ~(low << n) for key, rec in zip(live, recs) if rec & first == v}
             unc -= (self.adj[v] & ~x).bit_count()
-            x |= 1 << v
+            x |= low
             prefix.append(v)
         return prefix
 
@@ -383,7 +362,7 @@ def branch_solve(inst: Instance) -> SolveResult:
         ids = best_ordering.ids
     elif incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
-    return SolveResult.pack(best_cost, ids, inst.w, len(covers), incumbent, sum(map(len, dp.layers)))
+    return SolveResult.pack(best_cost, ids, inst.w, len(covers), incumbent, len(dp.memo))
 
 
 def solve(inst: Instance) -> SolveResult:

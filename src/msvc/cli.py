@@ -160,8 +160,16 @@ def cmd_enum_mvc(args) -> int:
     return EXIT_YES
 
 
+def _number(text: str):
+    """A family parameter as an int if it reads as one, else as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def cmd_gen(args) -> int:
-    params = tuple(int(p) if float(p).is_integer() and "." not in p else float(p) for p in args.params)
+    params = tuple(map(_number, args.params))
     spec = GeneratorSpec(family=args.family, params=params, seed=args.seed)
     g = generate(spec)
     k = args.k if args.k is not None else g.n

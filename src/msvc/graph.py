@@ -284,10 +284,11 @@ class Instance:
     k: int
 
     def __post_init__(self) -> None:
-        if self.w < 0:
-            raise ValueError(f"budget w must be nonnegative, got {self.w}")
+        # k first: the CLI derives a default w from k
         if self.k < 0:
             raise ValueError(f"parameter k must be nonnegative, got {self.k}")
+        if self.w < 0:
+            raise ValueError(f"budget w must be nonnegative, got {self.w}")
         if self.k > self.graph.n:
             object.__setattr__(self, "k", self.graph.n)
 

@@ -537,17 +537,6 @@ def test_cover_optimum_matches_plain_dp():
                 assert dp.togo(cover) == cover_optimum(g, cover, k), (g.edges, k, cover)
 
 
-def decode(key, n):
-    """(X, R) of a prefix DP key, as the masks of the vertices whose base-3
-    digit is 1 and 2."""
-    x = r = 0
-    for v in range(n):
-        key, digit = divmod(key, 3)
-        x |= (digit == 1) << v
-        r |= (digit == 2) << v
-    return x, r
-
-
 def plain_state_dp(g, k):
     """(togo, moves, unc) of the states (X, R) by a plain DP: a move places
     any vertex of R or, while |X| + |R| < k, any other vertex not in X;
@@ -581,18 +570,17 @@ def check_records(g, k):
     dp.costs(enumerate_minimal_covers(g, k), greedy_incumbent(g, k))
     togo, moves, unc = plain_state_dp(g, k)
     cut = 0
-    for layer in dp.layers:
-        for key, rec in layer.items():
-            x, r = decode(key, g.n)
-            best = togo(x, r)
-            if rec < 0:
-                assert 0 < -rec >> dp.shift <= best, (g.edges, k, x, r)
-                cut += 1
-                continue
-            first = min(v for v in moves(x, r)
-                        if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
-            got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
-            assert got == (best, first), (g.edges, k, x, r)
+    for key, rec in dp.memo.items():
+        x, r = key & ((1 << g.n) - 1), key >> g.n
+        best = togo(x, r)
+        if rec < 0:
+            assert 0 < -rec >> dp.shift <= best, (g.edges, k, x, r)
+            cut += 1
+            continue
+        first = min(v for v in moves(x, r)
+                    if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
+        got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
+        assert got == (best, first), (g.edges, k, x, r)
     return cut
 
 
@@ -622,7 +610,7 @@ def test_covers_share_states():
     for cover in enumerate_minimal_covers(g, 8):
         dp = _PrefixDP(g, 8)
         dp.togo(cover)
-        own += sum(map(len, dp.layers))
+        own += len(dp.memo)
     assert 0 < branch_solve(Instance(g, w=48, k=8)).stats.dp_states < own
 
 
@@ -632,7 +620,8 @@ def test_walk_without_a_record_raises():
     covers = enumerate_minimal_covers(g, 8)
     costs = [dp.togo(cover) for cover in covers]
     roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
-    dp.layers[2].clear()
+    for key in [key for key in dp.memo if (key & (1 << g.n) - 1).bit_count() == 2]:
+        del dp.memo[key]
     with pytest.raises(InvariantError):
         dp.walk(roots)
 
@@ -645,8 +634,9 @@ def test_walk_through_a_lower_bound_record_raises():
     roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
     assert dp.walk(roots)
     # the same togo, recorded as a lower bound: the walk must not trust it
-    for key, rec in dp.layers[2].items():
-        dp.layers[2][key] = -(abs(rec) >> dp.shift << dp.shift)
+    for key, rec in dp.memo.items():
+        if (key & (1 << g.n) - 1).bit_count() == 2:
+            dp.memo[key] = -(abs(rec) >> dp.shift << dp.shift)
     with pytest.raises(InvariantError):
         dp.walk(roots)
 
@@ -710,3 +700,13 @@ def test_greedy_incumbent_stops_past_k():
     start = time.perf_counter()
     assert greedy_incumbent(g, 3) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_prefix_dp_scales_with_its_states_on_a_large_star():
+    # a 20,001-vertex star at k = 1: one cover, the center, and one state;
+    # setting up the DP must not cost more than that state
+    g = generate(GeneratorSpec("star", (20_000,)))
+    start = time.perf_counter()
+    r = branch_solve(Instance(g, w=g.m, k=1))
+    assert time.perf_counter() - start < 0.5
+    assert r.best_cost == 20_000 and r.stats.dp_states == 1

@@ -170,11 +170,22 @@ def test_gen_claw_chain_defaults(tmp_path, capsys):
     assert inst.graph.n == 19 and inst.graph.m == 18
 
 
-@pytest.mark.parametrize("argv", [["gen", "star", "3.0"], ["gen", "gnp", "8"]])
+@pytest.mark.parametrize("argv", [["gen", "star", "3.0"], ["gen", "gnp", "8"], ["gen", "path", "1e1"]])
 def test_gen_bad_params_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    if argv[-1] == "1e1":
+        # read as the float 10.0, so the generator names the parameter
+        assert "must be an integer, got 10.0" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "gnp", "5", "0.5", "--k", "-1"], ["bench", "--k", "-2"]])
+def test_negative_k_is_named_exit_2(capsys, argv):
+    # the default w is derived from k, so k must be checked first
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "parameter k" in err
 
 
 def test_verify_feasible(tmp_path, capsys):
