@@ -46,7 +46,6 @@ from .kernel import (
     rule4_apply,
 )
 from .branching import (
-    SolveFigures,
     SolveResult,
     branch_solve,
     solve,
@@ -107,7 +106,6 @@ __all__ = [
     "rule2_apply",
     "rule3_check",
     "rule4_apply",
-    "SolveFigures",
     "SolveResult",
     "branch_solve",
     "solve",

@@ -63,131 +63,64 @@ when its max charge is at most k, the DP must find an ordering too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .graph import Graph, Instance, InvariantError, Ordering, evaluate
 from .covers import enumerate_minimal_covers
 from .kernel import Kernel, TrivialNo, kernelize, lift
 
 
-class SolveFigures(NamedTuple):
-    """The fields of a ``SolveResult``, unpacked.  The search counters are
-    the minimal covers enumerated, the distinct (X, R) states of the prefix
-    DP evaluated across all of them (a state reached from several covers
-    counts once), and ``incumbent``, the greedy ordering's cost (on the
-    scale of ``best_cost``, kernel offset included), or None when that
-    ordering's max charge exceeds k.  ``tail`` is the witness's packed ids
-    (see ``Ordering``), or, without a witness, the name of the kernel rule
-    that proved a trivial no (empty if none did)."""
+@dataclass(frozen=True, slots=True)
+class SolveResult:
+    """Outcome of one solve.  ``best_cost`` is the least total charge with
+    max charge <= k (None when no ordering has one, or a kernel rule proved
+    a no), ``w`` the budget it is compared with and ``ids`` the witness's
+    packed ids (see ``Ordering``; None without a witness).  The search
+    counters are ``covers_enumerated``, the minimal covers enumerated,
+    ``dp_states``, the distinct (X, R) states of the prefix DP evaluated
+    across all of them (a state reached from several covers counts once),
+    and ``incumbent``, the greedy ordering's cost (on the scale of
+    ``best_cost``, kernel offset included), or None when that ordering's
+    max charge exceeds k.  ``solve`` also records the kernel's n and m and
+    the budget offset of its rules, or ``trivial_no``, the name of the rule
+    that proved a trivial no; ``branch_solve`` leaves them None."""
 
     best_cost: Optional[int]
     w: int
     covers_enumerated: int
     incumbent: Optional[int]
     dp_states: int
-    kernel_n: Optional[int]
-    kernel_m: Optional[int]
-    w_offset: Optional[int]
-    tail: bytes
-
-    @property
-    def mappings_tried(self) -> int:
-        """``dp_states``, under the name the benchmark harness reads."""
-        return self.dp_states
-
-    @property
-    def branches(self) -> int:
-        """Always 0; kept only because the benchmark harness reads it."""
-        return 0
-
-
-@dataclass(frozen=True, slots=True)
-class SolveResult:
-    """Outcome of one solve: the least total charge with max charge <= k
-    (None when no ordering has one, or a kernel rule proved a no), its
-    witness, the budget ``w`` it is compared with and the search counters.
-    ``solve`` also records the kernel's n and m and the budget offset of
-    its rules, or the rule that proved a trivial no; ``branch_solve`` leaves
-    them None.
-
-    A caller may keep many results, so one result is one bytes ``record``:
-    the figures of ``SolveFigures`` in its order, each a base-128 varint of
-    value + 1 (0 for None), then the tail; with a small witness the result
-    takes 112 B, a 48-B object and a 64-B record.  Build one with ``pack``;
-    ``unpack`` decodes every figure, and the properties below decode on
-    each access."""
-
-    record: bytes
-
-    @staticmethod
-    def pack(best_cost: Optional[int], ids: Optional[bytes], w: int, covers_enumerated: int,
-             incumbent: Optional[int] = None, dp_states: int = 0, kernel_n: Optional[int] = None,
-             kernel_m: Optional[int] = None, w_offset: Optional[int] = None,
-             trivial_no: Optional[str] = None) -> "SolveResult":
-        out = bytearray()
-        for v in (best_cost, w, covers_enumerated, incumbent, dp_states, kernel_n, kernel_m, w_offset):
-            v = 0 if v is None else v + 1
-            while v > 0x7F:
-                out.append(v & 0x7F | 0x80)
-                v >>= 7
-            out.append(v)
-        out += ids if ids is not None else (trivial_no or "").encode()
-        return SolveResult(bytes(out))
-
-    def unpack(self) -> SolveFigures:
-        record, figures, at = self.record, [], 0
-        while len(figures) < len(SolveFigures._fields) - 1:
-            v = shift = 0
-            while True:
-                byte = record[at]
-                at += 1
-                v |= (byte & 0x7F) << shift
-                shift += 7
-                if byte < 0x80:
-                    break
-            figures.append(v - 1 if v else None)
-        return SolveFigures(*figures, record[at:])
-
-    def __repr__(self) -> str:
-        return f"SolveResult({self.unpack()!r})"
-
-    best_cost = property(lambda self: self.unpack().best_cost)
-    kernel_n = property(lambda self: self.unpack().kernel_n)
-    kernel_m = property(lambda self: self.unpack().kernel_m)
-
-    @property
-    def ids(self) -> Optional[bytes]:
-        f = self.unpack()
-        return None if f.best_cost is None else f.tail
-
-    @property
-    def trivial_no(self) -> Optional[str]:
-        f = self.unpack()
-        return f.tail.decode() if f.best_cost is None and f.tail else None
+    kernel_n: Optional[int] = None
+    kernel_m: Optional[int] = None
+    w_offset: Optional[int] = None
+    ids: Optional[bytes] = None
+    trivial_no: Optional[str] = None
 
     @property
     def decision(self) -> bool:
-        f = self.unpack()
-        return f.best_cost is not None and f.best_cost <= f.w
+        return self.best_cost is not None and self.best_cost <= self.w
 
     @property
     def best_ordering(self) -> Optional[Ordering]:
-        ids = self.ids
-        return None if ids is None else Ordering(ids)
-
-    stats = property(unpack)
+        return None if self.ids is None else Ordering(self.ids)
 
     @property
     def kernel_summary(self) -> Optional[dict]:
         """{"trivial_no": rule}, the kernel's {"n", "m", "w", "w_offset"},
         or None without a kernel; built on each access."""
-        if (rule := self.trivial_no) is not None:
-            return {"trivial_no": rule}
-        f = self.unpack()
-        if f.kernel_n is None:
+        if self.trivial_no is not None:
+            return {"trivial_no": self.trivial_no}
+        if self.kernel_n is None:
             return None
-        return {"n": f.kernel_n, "m": f.kernel_m, "w": f.w - f.w_offset, "w_offset": f.w_offset}
+        return {"n": self.kernel_n, "m": self.kernel_m, "w": self.w - self.w_offset,
+                "w_offset": self.w_offset}
+
+    # Aliases the benchmark harness reads (perfbench/tracing.py); each stays
+    # until the harness renames its counters (ROADMAP item 1).
+    stats = property(lambda self: self)  # harness alias: the result itself
+    mappings_tried = property(lambda self: self.dp_states)  # harness alias: dp_states
+    branches = property(lambda self: 0)  # harness alias: the prefix DP makes no branches
 
 
 def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
@@ -362,7 +295,7 @@ def branch_solve(inst: Instance) -> SolveResult:
         ids = best_ordering.ids
     elif incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
-    return SolveResult.pack(best_cost, ids, inst.w, len(covers), incumbent, len(dp.memo))
+    return SolveResult(best_cost, inst.w, len(covers), incumbent, len(dp.memo), ids=ids)
 
 
 def solve(inst: Instance) -> SolveResult:
@@ -370,21 +303,18 @@ def solve(inst: Instance) -> SolveResult:
     witness back to the original graph, where ``lift`` re-verifies it."""
     outcome = kernelize(inst)
     if isinstance(outcome, TrivialNo):
-        return SolveResult.pack(None, None, inst.w, 0, trivial_no=outcome.rule)
+        return SolveResult(None, inst.w, 0, None, 0, trivial_no=outcome.rule)
     if not isinstance(outcome, Kernel):
         raise InvariantError(f"kernelize returned {type(outcome).__name__}")
     kernel_inst = outcome.instance
     offset = outcome.trace.w_offset
-    sub = branch_solve(kernel_inst).unpack()
+    sub = branch_solve(kernel_inst)
     total = lifted = None
     if sub.best_cost is not None:
-        lifted = lift(outcome, Ordering(sub.tail), inst).ids
+        lifted = lift(outcome, sub.best_ordering, inst).ids
         total = sub.best_cost + offset
-    return SolveResult.pack(
-        total, lifted, inst.w, sub.covers_enumerated,
+    return replace(
+        sub, best_cost=total, w=inst.w, ids=lifted,
         incumbent=None if sub.incumbent is None else sub.incumbent + offset,
-        dp_states=sub.dp_states,
-        kernel_n=kernel_inst.graph.n,
-        kernel_m=kernel_inst.graph.m,
-        w_offset=offset,
+        kernel_n=kernel_inst.graph.n, kernel_m=kernel_inst.graph.m, w_offset=offset,
     )

@@ -49,11 +49,11 @@ def _write_text(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _search_counts(stats) -> dict:
+def _search_counts(result) -> dict:
     return {
-        "covers_enumerated": stats.covers_enumerated,
-        "incumbent": stats.incumbent,
-        "dp_states": stats.dp_states,
+        "covers_enumerated": result.covers_enumerated,
+        "incumbent": result.incumbent,
+        "dp_states": result.dp_states,
     }
 
 
@@ -73,7 +73,7 @@ def cmd_solve(args) -> int:
         "max_cost": None,
         "ordering": None,
         "kernel": result.kernel_summary,
-        "stats": {**_search_counts(result.stats), "elapsed": elapsed},
+        "stats": {**_search_counts(result), "elapsed": elapsed},
     }
     if result.best_ordering is not None:
         payload["max_cost"] = evaluate(inst.graph, result.best_ordering).max_cost
@@ -179,7 +179,12 @@ def cmd_gen(args) -> int:
 
 
 def _bench_corpus(args):
-    """(index, spec, graph) of every gnp graph of a bench or analyze corpus."""
+    """(index, spec, graph) of every gnp graph of a bench or analyze corpus,
+    which must not be empty."""
+    if args.per_size < 1:
+        raise ValueError(f"--per-size must be at least 1, got {args.per_size}")
+    if args.n_max < args.n_min:
+        raise ValueError(f"--n-max must be at least --n-min, got {args.n_max} < {args.n_min}")
     idx = 0
     for n in range(args.n_min, args.n_max + 1):
         for _ in range(args.per_size):
@@ -204,7 +209,7 @@ def cmd_bench(args) -> int:
                 "k": k,
                 "kernel_n": result.kernel_n,
                 "kernel_m": result.kernel_m,
-                **_search_counts(result.stats),
+                **_search_counts(result),
                 "time_ms": round(elapsed * 1000.0, 3),
                 "decision": "yes" if result.decision else "no",
                 "cost": result.best_cost,

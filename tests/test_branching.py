@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations, permutations
 
 import pytest
@@ -20,7 +20,7 @@ from msvc import (
     generate,
     subset_dp_optimal,
 )
-from msvc.branching import SolveFigures, SolveResult, _PrefixDP, branch_solve, greedy_incumbent, solve
+from msvc.branching import SolveResult, _PrefixDP, branch_solve, greedy_incumbent, solve
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
@@ -379,8 +379,8 @@ def test_complete_graph_takes_the_dp():
     r = branch_solve(Instance(complete(9), w=120, k=8))
     assert r.decision and r.best_cost == 120
     assert r.best_ordering.sequence == tuple(range(9))
-    assert r.stats.covers_enumerated == 9
-    assert 0 < r.stats.dp_states <= 9 * 2**8
+    assert r.covers_enumerated == 9
+    assert 0 < r.dp_states <= 9 * 2**8
 
 
 def all_subsets(s):
@@ -430,7 +430,7 @@ def test_all_subsets_takes_the_dp():
         start = time.perf_counter()
         r = branch_solve(Instance(g, w=0, k=k))
         assert time.perf_counter() - start < 1.0
-        assert 0 < r.stats.dp_states <= 2 ** (s + 1)
+        assert 0 < r.dp_states <= 2 ** (s + 1)
         report = evaluate(g, r.best_ordering)
         assert report.total == r.best_cost and report.max_cost <= k
         assert solve(Instance(g, w=0, k=k)).best_cost == r.best_cost
@@ -611,7 +611,7 @@ def test_covers_share_states():
         dp = _PrefixDP(g, 8)
         dp.togo(cover)
         own += len(dp.memo)
-    assert 0 < branch_solve(Instance(g, w=48, k=8)).stats.dp_states < own
+    assert 0 < branch_solve(Instance(g, w=48, k=8)).dp_states < own
 
 
 def test_walk_without_a_record_raises():
@@ -655,7 +655,7 @@ def test_large_covers_at_large_k_match_subset_dp():
     for k in range(14, 20):
         inst = Instance(N19, w=k * N19.m, k=k)
         same_as_subset_dp(inst)
-        assert branch_solve(inst).stats.dp_states < 1_000
+        assert branch_solve(inst).dp_states < 1_000
 
 
 def test_reevaluations_stay_bounded(monkeypatch):
@@ -675,22 +675,25 @@ def test_reevaluations_stay_bounded(monkeypatch):
                  (N19, 16)):
         calls.clear()
         r = branch_solve(Instance(g, w=0, k=k))
-        assert len(calls) <= 1.25 * r.stats.dp_states, (g, k, len(calls), r.stats.dp_states)
+        assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
 
 
-def test_solve_result_record_round_trips():
-    """A result packs its figures as varints, so large and None figures come
-    back as they went in, and the tail is the witness or the rule."""
-    figures = (10**12, 2**70, 300, None, 123456, 3, 2, 0)
-    r = SolveResult.pack(figures[0], bytes([1, 0, 2]), *figures[1:])
-    assert r.unpack() == SolveFigures(*figures, bytes([1, 0, 2]))
+def test_solve_result_fields():
+    """A result keeps its figures as they went in, however large, and derives
+    the decision, the witness and the kernel summary from them."""
+    r = SolveResult(10**12, 2**70, 300, None, 123456, kernel_n=3, kernel_m=2, w_offset=5,
+                    ids=bytes([1, 0, 2]))
+    assert (r.best_cost, r.w, r.covers_enumerated, r.dp_states) == (10**12, 2**70, 300, 123456)
     assert r.decision and r.best_ordering.sequence == (1, 0, 2) and r.trivial_no is None
-    assert r.kernel_summary == {"n": 3, "m": 2, "w": 2**70, "w_offset": 0}
-    no = SolveResult.pack(None, None, 5, 0, trivial_no="rule3")
-    assert not no.decision and no.ids is None and no.kernel_summary == {"trivial_no": "rule3"}
-    empty = SolveResult.pack(0, b"", 0, 0)
+    assert r.kernel_summary == {"n": 3, "m": 2, "w": 2**70 - 5, "w_offset": 5}
+    assert not SolveResult(2**70 + 1, 2**70, 0, None, 0).decision
+    no = SolveResult(None, 5, 0, None, 0, trivial_no="rule3")
+    assert not no.decision and no.best_ordering is None and no.kernel_summary == {"trivial_no": "rule3"}
+    empty = branch_solve(Instance(build_graph(0, []), w=0, k=0))
     assert empty.decision and empty.best_ordering == Ordering.identity(0)
     assert empty.trivial_no is None and empty.kernel_summary is None
+    text = repr(r)
+    assert all(f"{f.name}=" in text for f in fields(SolveResult)), text
 
 
 def test_greedy_incumbent_stops_past_k():
@@ -709,4 +712,4 @@ def test_prefix_dp_scales_with_its_states_on_a_large_star():
     start = time.perf_counter()
     r = branch_solve(Instance(g, w=g.m, k=1))
     assert time.perf_counter() - start < 0.5
-    assert r.best_cost == 20_000 and r.stats.dp_states == 1
+    assert r.best_cost == 20_000 and r.dp_states == 1

@@ -188,6 +188,23 @@ def test_negative_k_is_named_exit_2(capsys, argv):
     assert "parameter k" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n-min", "5", "--n-max", "3"],
+        ["analyze", "--n-min", "5", "--n-max", "3"],
+        ["bench", "--per-size", "0"],
+        ["analyze", "--per-size", "0"],
+        ["analyze", "--per-size", "-1"],
+    ],
+)
+def test_empty_corpus_exit_2(capsys, argv):
+    # no rows is no answer, so it must not exit 0, which means "yes/success"
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --")
+
+
 def test_verify_feasible(tmp_path, capsys):
     inst_path = write_p3(tmp_path)
     ord_path = tmp_path / "ord.txt"
