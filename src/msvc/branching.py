@@ -40,17 +40,22 @@ Incumbent cap.  The greedy ordering, which repeatedly places the vertex
 covering the most uncovered edges, bounds the optimum when its max charge
 is at most k: its cost is the incumbent.  Each root is evaluated under a
 cap, the incumbent or the least togo of the roots before it, and a state
-under cap c passes c - unc(X) on to its next states.  No vertex covers more
-than D edges (the max degree), so u > 0 uncovered edges cost at least
-u + (u - D) + (u - 2D) + ... over the positive terms, and a move whose
-next state has more than its cap by that bound is cut.  Moves are tried in
-order of the edges they cover, most first: a state is then mostly first
-reached along a cheap prefix, where its cap is large, and once one move is
-cut every later one is.  A state whose moves all exceed its cap stores a
-lower bound above the cap (a negative record), evaluated again only when a
-larger cap reaches it.  A record within its cap is exact, and every state
-on an optimal path from an optimal root is within its cap, so the optimal
-covers, their cost and the witness are the same as without the cap.
+under cap c passes c - unc(X) on to its next states.  A move that saves s
+edges and leaves u > 0 is cut when its saving bound u + (u - s) + ... over
+the terms >= 0, (q + 1)u - s q(q + 1)/2 with q = u // s, exceeds the cap
+it would pass on.  Every move saves s >= 1: a vertex of R only when it
+saves an edge, a class vertex only at least the floor, which is >= 1.
+Moves are tried fewest edges left first, so s falls as u rises and the
+bound never falls: once one move is cut every later one is, and a state is
+mostly first reached along a cheap prefix, where its cap is large.  An
+optimal move starts an optimal path, whose savings never grow, so its
+bound is at most its next state's togo.  So a state whose moves all exceed
+its cap stores a lower bound above the cap (a negative record), evaluated
+again only when a larger cap reaches it, and a state within its cap cuts
+none of its optimal moves, tied ones included: its record is exact and
+holds the smallest vertex of an optimal move.  Every state on an optimal
+path from an optimal root is within its cap, so the optimal covers, their
+cost and the witness are the same as without the cap.
 
 The witness is the lexicographically smallest optimal sequence, read off
 the memo, whose exact entries pack togo with the smallest vertex of an
@@ -162,24 +167,18 @@ class _PrefixDP:
                 twins[link] = twins.get(link, 0) | 1 << u
         self.memo: dict[int, int] = {}
         classes = tuple(twins.items())
-        # bound[u]: u + (u - D) + (u - 2D) + ..., the least togo of a state
-        # with u uncovered edges
-        top = int(g.deg.max(initial=1))
-        bound = [0] * (g.m + 1)
-        for u in range(1, g.m + 1):
-            bound[u] = u + bound[max(u - top, 0)]
-        self._consts = (1 << g.n) - 1, g.n, k, self.shift, self.adj, classes, self.memo, bound
+        self._consts = (1 << g.n) - 1, g.n, k, self.shift, self.adj, classes, self.memo
 
     def record(self, key: int, unc: int, cap: int) -> int:
         """Evaluate the state of ``key``, which has unc > 0 uncovered edges,
-        into ``memo`` under ``cap``, and return its record.  A move packs
-        the next state's togo, or a lower bound on it, with its vertex, so
-        the least of them is the optimum at its smallest vertex.  A next
-        state is evaluated (again, if its record is a lower bound within
-        cap - unc) only when its bound is within cap - unc; so every move
-        within cap - unc is exact, and if none is, the state's togo is above
-        cap."""
-        full, n, k, shift, adj, classes, memo, bound = self._consts
+        into ``memo`` under ``cap``, and return its record.  A move packs its
+        next state's togo, record or saving bound with its vertex; none of
+        these is above togo for an optimal move.  A next state is evaluated
+        (again, if its record is a lower bound within cap - unc) only when
+        the move's saving bound is within cap - unc; so every move within
+        cap - unc is exact, the least of them is the optimum at its smallest
+        vertex, and if none is, the state's togo is above cap."""
+        full, n, k, shift, adj, classes, memo = self._consts
         x, r, spare = key & full, key >> n, k - key.bit_count()
         room = cap - unc
         first = (1 << shift) - 1
@@ -211,7 +210,8 @@ class _PrefixDP:
             if not left:
                 best = v  # the first move, so the least
                 break
-            least = bound[left]
+            q = left // (unc - left)  # the saving bound, u = left, s = unc - left
+            least = (q + 1) * left - (unc - left) * q * (q + 1) // 2
             if least > room:
                 # this move and every later one is cut, the later ones with
                 # no smaller packed bound

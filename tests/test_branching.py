@@ -672,10 +672,36 @@ def test_reevaluations_stay_bounded(monkeypatch):
     for g, k in ((generate(GeneratorSpec("claw_chain", (9,))), 10),
                  (generate(GeneratorSpec("claw_chain", (4,))), 10),
                  (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
-                 (N19, 16)):
+                 (N19, 16),
+                 (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12)):
         calls.clear()
         r = branch_solve(Instance(g, w=0, k=k))
         assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
+
+
+def test_saving_bound_keeps_the_states_few():
+    """Each move is cut by the charge its own saving leaves to pay; a bound
+    that let every later vertex save the max degree took 120, 767, 511, 530
+    and 44 states on these rows, at the same costs."""
+    for g, k, cost, states in ((claw_chain6(), 7, 60, 64),
+                               (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 512),
+                               (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 316),
+                               (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8, 48, 250),
+                               (N19, 16, 80, 37)):
+        r = branch_solve(Instance(g, w=0, k=k))
+        assert r.best_cost == cost and r.dp_states <= states, (g, k, r.best_cost, r.dp_states)
+
+
+def test_matches_subset_dp_on_a_20_vertex_kernel():
+    """gnp(20, .3) seed 1 is its own kernel at k = 16; the max-degree bound
+    took 573,322 states and about 4 s there."""
+    g = generate(GeneratorSpec("gnp", (20, 0.3), seed=1))
+    inst = Instance(g, w=16 * g.m, k=16)
+    same_as_subset_dp(inst)
+    start = time.perf_counter()
+    r = branch_solve(inst)
+    assert time.perf_counter() - start < 1.0
+    assert r.best_cost == 288 and r.dp_states <= 18_664
 
 
 def test_solve_result_fields():
