@@ -150,130 +150,82 @@ def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
                 remaining[x] -= 1
 
 
-class _PrefixDP:
-    """The prefix DP of one solve.  A state's key is the int x | r << n of
-    the vertex masks of X and R; |X| + |R| is its bit count.  ``memo`` maps
-    the key of each state evaluated that still has an uncovered edge to its
-    record: togo << ``shift`` | the smallest vertex of an optimal move if the
-    state was within its cap, else -(a lower bound on togo << ``shift``)."""
-
-    def __init__(self, g: Graph, k: int):
-        self.n, self.m, self.k = g.n, g.m, k
-        self.shift = g.n.bit_length()
-        self.adj = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
-        twins: dict[int, int] = {}  # N(u) -> its members, both as masks
-        for u, link in enumerate(self.adj):
-            if link:
-                twins[link] = twins.get(link, 0) | 1 << u
-        self.memo: dict[int, int] = {}
-        classes = tuple(twins.items())
-        self._consts = (1 << g.n) - 1, g.n, k, self.shift, self.adj, classes, self.memo
-
-    def record(self, key: int, unc: int, cap: int) -> int:
-        """Evaluate the state of ``key``, which has unc > 0 uncovered edges,
-        into ``memo`` under ``cap``, and return its record.  A move packs its
-        next state's togo, record or saving bound with its vertex; none of
-        these is above togo for an optimal move.  A next state is evaluated
-        (again, if its record is a lower bound within cap - unc) only when
-        the move's saving bound is within cap - unc; so every move within
-        cap - unc is exact, the least of them is the optimum at its smallest
-        vertex, and if none is, the state's togo is above cap."""
-        full, n, k, shift, adj, classes, memo = self._consts
-        x, r, spare = key & full, key >> n, k - key.bit_count()
-        room = cap - unc
-        first = (1 << shift) - 1
-        free, out = full ^ x ^ r, ~x
-        moves = []  # edges left uncovered << shift | vertex, of every move saving an edge
-        top = 0
-        rest = r
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            link = adj[v := low.bit_length() - 1]
-            if spare > 0 and (reach := (link & free).bit_count()) > top:
-                top = reach
-            if saved := (link & out).bit_count():
-                moves.append((unc - saved) << shift | v)
-        if spare > 0:
-            floor = top - spare if top > spare + 1 else 1  # max(top - spare, 1), inlined
-            for link, members in classes:
-                avail = members & free
-                if avail and (saved := (link & r).bit_count()) >= floor:
-                    moves.append((unc - saved) << shift | (avail & -avail).bit_length() - 1)
-        # the moves that cover the most edges first, so that a state is
-        # first reached along a cheap prefix, with room to spare
-        moves.sort()
-        best = None
-        for move in moves:
-            left = move >> shift
-            v = move & first
-            if not left:
-                best = v  # the first move, so the least
-                break
-            q = left // (unc - left)  # the saving bound, u = left, s = unc - left
-            least = (q + 1) * left - (unc - left) * q * (q + 1) // 2
-            if least > room:
-                # this move and every later one is cut, the later ones with
-                # no smaller packed bound
-                move = least << shift | v
-                if best is None or move < best:
-                    best = move
-                break
-            low = 1 << v
-            after = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
-            rec = memo.get(after)
-            if rec is None or rec < 0 and -rec >> shift <= room:
-                rec = self.record(after, left, room)
-            move = v | (rec >> shift << shift if rec >= 0 else -rec)
-            if best is None or move < best:
-                best = move
-        if best >> shift <= room:
-            rec = (unc << shift) + best
-        else:
-            rec = -((unc << shift) + (best >> shift << shift))
-        memo[key] = rec
-        return rec
-
-    def togo(self, cover: tuple[int, ...], cap: Optional[int] = None) -> int:
-        """togo at the root (empty, cover) of a minimal cover if it is at
-        most ``cap``, else a lower bound above cap; exact without a cap."""
-        if not self.m:
-            return 0
-        if cap is None:
-            cap = self.m * self.k  # no ordering of the DP charges an edge more than k
-        rec = self.record(sum(1 << v for v in cover) << self.n, self.m, cap)
-        return (rec if rec >= 0 else -rec) >> self.shift
-
-    def costs(self, covers: list[tuple[int, ...]], incumbent: Optional[int]) -> list[int]:
-        """togo at the root of each cover, capped by the incumbent (the cost
-        of a feasible ordering, or None) and the least togo before it: so
-        every cover whose togo is the least of all gets it exactly, and
-        every other cover a value above it."""
-        cap, costs = incumbent, []
-        for cover in covers:
-            cost = self.togo(cover, cap)
-            cap = cost if cap is None else min(cap, cost)
-            costs.append(cost)
-        return costs
-
-    def walk(self, roots: list[tuple[int, ...]]) -> list[int]:
-        """The tight prefix of the lexicographically smallest optimal
-        sequence, walked from the roots of the covers ``roots``, which all
-        attain the optimum, through exact records only."""
-        n, first = self.n, (1 << self.shift) - 1
-        live = {sum(1 << v for v in cover) << n for cover in roots}
-        prefix, x, unc = [], 0, self.m
+def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optional[int]):
+    """(cost, tight prefix, states) of the lexicographically smallest
+    optimal sequence from the roots of ``covers``, under a cap that starts
+    at ``incumbent`` (a feasible ordering's cost, or None), or None without
+    a cover.  A layer maps each state's key x | r << n to its charge so far,
+    the smallest prefix at that charge and its uncovered edges."""
+    if not covers:
+        return None
+    n, m = g.n, g.m
+    if not m:
+        return 0, [], 0
+    full = (1 << n) - 1
+    adj = [sum(1 << x for x in g.adj[v]) for v in range(n)]
+    twins: dict[int, int] = {}  # N(u) -> its members, both as masks
+    for u, link in enumerate(adj):
+        if link:
+            twins[link] = twins.get(link, 0) | 1 << u
+    classes = tuple(twins.items())
+    cap = m * k if incumbent is None else incumbent  # the DP charges no edge more than k
+    layer = {}
+    for cover in covers:
+        # the cover placed alone, most uncovered edges first, is feasible
+        rest, x, unc, cost = list(cover), 0, m, 0
         while unc:
-            recs = [self.memo.get(key, -1) for key in live]
-            if min(recs) < 0:
-                raise InvariantError("a live state has no exact DP record during the witness walk")
-            v = min(rec & first for rec in recs)
-            low = 1 << v
-            live = {(key | low) & ~(low << n) for key, rec in zip(live, recs) if rec & first == v}
-            unc -= (self.adj[v] & ~x).bit_count()
-            x |= low
-            prefix.append(v)
-        return prefix
+            cost += unc
+            v = max(rest, key=lambda u: (adj[u] & ~x).bit_count())
+            rest.remove(v)
+            unc -= (adj[v] & ~x).bit_count()
+            x |= 1 << v
+        cap = min(cap, cost)
+        layer[sum(1 << v for v in cover) << n] = 0, (), m
+    best = None
+    states = 0
+    while layer:
+        states += len(layer)
+        after = {}
+        for key, (charge, prefix, unc) in layer.items():
+            x, r, spare = key & full, key >> n, k - key.bit_count()
+            free, out = full ^ x ^ r, ~x
+            moves = []  # (edges left uncovered, vertex) of every move saving an edge
+            top = 0
+            rest = r
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                link = adj[v := low.bit_length() - 1]
+                if spare > 0 and (reach := (link & free).bit_count()) > top:
+                    top = reach
+                if saved := (link & out).bit_count():
+                    moves.append((unc - saved, v))
+            if spare > 0:
+                floor = top - spare if top > spare + 1 else 1  # max(top - spare, 1), inlined
+                for link, members in classes:
+                    avail = members & free
+                    if avail and (saved := (link & r).bit_count()) >= floor:
+                        moves.append((unc - saved, (avail & -avail).bit_length() - 1))
+            # the moves that cover the most edges first: the saving bound
+            # never falls along them
+            moves.sort()
+            charge += unc
+            for left, v in moves:
+                if not left:
+                    if best is None or (charge, prefix + (v,)) < best:
+                        best = charge, prefix + (v,)
+                        cap = min(cap, charge)
+                    break
+                q = left // (unc - left)  # the saving bound, u = left, s = unc - left
+                if charge + (q + 1) * left - (unc - left) * q * (q + 1) // 2 > cap:
+                    break  # and every later move is cut too
+                low = 1 << v
+                state = charge, prefix + (v,), left
+                nxt = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
+                if nxt not in after or state < after[nxt]:
+                    after[nxt] = state
+        layer = after
+    return best[0], list(best[1]), states
 
 
 def branch_solve(inst: Instance) -> SolveResult:
@@ -282,12 +234,11 @@ def branch_solve(inst: Instance) -> SolveResult:
     g, k = inst.graph, inst.k
     covers = enumerate_minimal_covers(g, k)
     incumbent = greedy_incumbent(g, k)
-    dp = _PrefixDP(g, k)
-    costs = dp.costs(covers, incumbent)
+    found = _prefix_dp(g, k, covers, incumbent)
     best_cost = ids = None
-    if costs:
-        best_cost = min(costs)
-        prefix = dp.walk([cover for cover, cost in zip(covers, costs) if cost == best_cost])
+    states = 0
+    if found:
+        best_cost, prefix, states = found
         best_ordering = Ordering.from_prefix(prefix, g.n)
         report = evaluate(g, best_ordering)
         if report.total != best_cost or report.max_cost > k:
@@ -295,7 +246,7 @@ def branch_solve(inst: Instance) -> SolveResult:
         ids = best_ordering.ids
     elif incumbent is not None:
         raise InvariantError("branching found no ordering although the greedy one is feasible")
-    return SolveResult(best_cost, inst.w, len(covers), incumbent, len(dp.memo), ids=ids)
+    return SolveResult(best_cost, inst.w, len(covers), incumbent, states, ids=ids)
 
 
 def solve(inst: Instance) -> SolveResult:

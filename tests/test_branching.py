@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from msvc import (
     GeneratorSpec,
     Instance,
-    InvariantError,
     Ordering,
     build_graph,
     brute_force_optimal,
@@ -20,7 +19,7 @@ from msvc import (
     generate,
     subset_dp_optimal,
 )
-from msvc.branching import SolveResult, _PrefixDP, branch_solve, greedy_incumbent, solve
+from msvc.branching import SolveResult, _prefix_dp, branch_solve, greedy_incumbent, solve
 
 from conftest import claw_chain6, double_star, p3, star, triangle
 
@@ -532,113 +531,33 @@ def test_cover_optimum_matches_plain_dp():
     cases += [(g, range(g.n + 1)) for g in (twin_heavy(rng) for _ in range(4))]
     for g, ks in cases:
         for k in ks:
-            dp = _PrefixDP(g, k)
             for cover in enumerate_minimal_covers(g, k):
-                assert dp.togo(cover) == cover_optimum(g, cover, k), (g.edges, k, cover)
-
-
-def plain_state_dp(g, k):
-    """(togo, moves, unc) of the states (X, R) by a plain DP: a move places
-    any vertex of R or, while |X| + |R| < k, any other vertex not in X;
-    no twin classes and no savings floor."""
-    memo = {}
-
-    def unc(x):
-        return sum(1 for u, v in g.edges if not (x >> u | x >> v) & 1)
-
-    def moves(x, r):
-        spare = k - (x | r).bit_count()
-        return [v for v in range(g.n) if not x >> v & 1 and (r >> v & 1 or spare > 0)]
-
-    def togo(x, r):
-        if not unc(x):
-            return 0
-        if (x, r) not in memo:
-            memo[x, r] = unc(x) + min(togo(x | 1 << v, r & ~(1 << v)) for v in moves(x, r))
-        return memo[x, r]
-
-    return togo, moves, unc
-
-
-def check_records(g, k):
-    """Every exact record of the prefix DP, capped as branch_solve caps it,
-    holds its state's togo and the smallest vertex whose move reaches it,
-    as a plain DP over every next vertex finds them; every lower-bound
-    record is at most its state's togo.  Returns the number of lower-bound
-    records."""
-    dp = _PrefixDP(g, k)
-    dp.costs(enumerate_minimal_covers(g, k), greedy_incumbent(g, k))
-    togo, moves, unc = plain_state_dp(g, k)
-    cut = 0
-    for key, rec in dp.memo.items():
-        x, r = key & ((1 << g.n) - 1), key >> g.n
-        best = togo(x, r)
-        if rec < 0:
-            assert 0 < -rec >> dp.shift <= best, (g.edges, k, x, r)
-            cut += 1
-            continue
-        first = min(v for v in moves(x, r)
-                    if unc(x) + togo(x | 1 << v, r & ~(1 << v)) == best)
-        got = rec >> dp.shift, rec & ((1 << dp.shift) - 1)
-        assert got == (best, first), (g.edges, k, x, r)
-    return cut
+                got = _prefix_dp(g, k, [cover], None)[0]
+                assert got == cover_optimum(g, cover, k), (g.edges, k, cover)
 
 
 @settings(max_examples=60, deadline=None)
 @given(instances(max_n=9))
-def test_records_hold_the_smallest_optimal_move(inst):
+def test_matches_subset_dp_at_every_k(inst):
     for k in range(inst.graph.n + 1):
-        check_records(inst.graph, k)
+        same_as_subset_dp(Instance(inst.graph, w=k * inst.graph.m, k=k))
 
 
-def test_capped_records_hold_on_fixed_graphs():
-    # graphs where the incumbent cap cuts states, so that lower-bound
-    # records are checked too
-    cut = 0
+def test_matches_subset_dp_where_the_cap_cuts():
+    # graphs where the incumbent cap cuts moves, so that states on no
+    # optimal path drop out of the layers
     for g, k in ((generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
                  (generate(GeneratorSpec("claw_chain", (2,))), 7),
                  (generate(GeneratorSpec("gnp", (9, 0.45), seed=31)), 7)):
-        cut += check_records(g, k)
-    assert cut > 0
+        same_as_subset_dp(Instance(g, w=k * g.m, k=k))
 
 
 def test_covers_share_states():
-    """On gnp8_worst at k = 8 the one memo holds fewer states than the
+    """On gnp8_worst at k = 8 the shared layers hold fewer states than the
     covers' own DPs do in all."""
     g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
-    own = 0
-    for cover in enumerate_minimal_covers(g, 8):
-        dp = _PrefixDP(g, 8)
-        dp.togo(cover)
-        own += len(dp.memo)
+    own = sum(_prefix_dp(g, 8, [cover], None)[2] for cover in enumerate_minimal_covers(g, 8))
     assert 0 < branch_solve(Instance(g, w=48, k=8)).dp_states < own
-
-
-def test_walk_without_a_record_raises():
-    g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
-    dp = _PrefixDP(g, 8)
-    covers = enumerate_minimal_covers(g, 8)
-    costs = [dp.togo(cover) for cover in covers]
-    roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
-    for key in [key for key in dp.memo if (key & (1 << g.n) - 1).bit_count() == 2]:
-        del dp.memo[key]
-    with pytest.raises(InvariantError):
-        dp.walk(roots)
-
-
-def test_walk_through_a_lower_bound_record_raises():
-    g = generate(GeneratorSpec("gnp", (8, 0.65), seed=8018))
-    dp = _PrefixDP(g, 8)
-    covers = enumerate_minimal_covers(g, 8)
-    costs = dp.costs(covers, greedy_incumbent(g, 8))
-    roots = [cover for cover, cost in zip(covers, costs) if cost == min(costs)]
-    assert dp.walk(roots)
-    # the same togo, recorded as a lower bound: the walk must not trust it
-    for key, rec in dp.memo.items():
-        if (key & (1 << g.n) - 1).bit_count() == 2:
-            dp.memo[key] = -(abs(rec) >> dp.shift << dp.shift)
-    with pytest.raises(InvariantError):
-        dp.walk(roots)
 
 
 N19 = build_graph(19, [(0, 3), (0, 4), (0, 6), (0, 9), (0, 10), (0, 12), (0, 14), (0, 16), (0, 18),
@@ -658,34 +577,13 @@ def test_large_covers_at_large_k_match_subset_dp():
         assert branch_solve(inst).dp_states < 1_000
 
 
-def test_reevaluations_stay_bounded(monkeypatch):
-    """A lower-bound record is evaluated again when a larger cap reaches it;
-    moves are tried most edges covered first, so that is rare."""
-    calls = []
-    record = _PrefixDP.record
-
-    def counted(self, *args):
-        calls.append(args[0])
-        return record(self, *args)
-
-    monkeypatch.setattr(_PrefixDP, "record", counted)
-    for g, k in ((generate(GeneratorSpec("claw_chain", (9,))), 10),
-                 (generate(GeneratorSpec("claw_chain", (4,))), 10),
-                 (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
-                 (N19, 16),
-                 (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12)):
-        calls.clear()
-        r = branch_solve(Instance(g, w=0, k=k))
-        assert len(calls) <= 1.25 * r.dp_states, (g, k, len(calls), r.dp_states)
-
-
 def test_saving_bound_keeps_the_states_few():
     """Each move is cut by the charge its own saving leaves to pay; a bound
     that let every later vertex save the max degree took 120, 767, 511, 530
     and 44 states on these rows, at the same costs."""
     for g, k, cost, states in ((claw_chain6(), 7, 60, 64),
                                (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 512),
-                               (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 316),
+                               (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 306),
                                (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8, 48, 250),
                                (N19, 16, 80, 37)):
         r = branch_solve(Instance(g, w=0, k=k))
