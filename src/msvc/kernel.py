@@ -371,23 +371,25 @@ def kernelize(inst: Instance) -> Union[TrivialNo, Kernel]:
 def lift(kernel: Kernel, kernel_ord: Ordering, original: Instance) -> Ordering:
     """Map an optimal ordering of the kernel back to the original graph.
 
-    Synthetic vertices are dropped, surviving originals keep their relative
-    order, and ``Ordering.from_prefix`` appends every other original vertex
-    in ascending id.  The result is re-costed once on the original graph.
+    Only the kernel ordering's tight prefix, its first max-charge vertices,
+    is mapped: synthetic vertices are dropped, surviving originals keep
+    their relative order, and ``Ordering.from_prefix`` appends every other
+    original vertex in ascending id, as the solver completes a witness.  The
+    result is re-costed once on the original graph.
     Its total must equal the kernel ordering's cost plus the recorded budget
     offset, and its max charge must not exceed the original k; otherwise the
     kernel ordering was not optimal or the trace is corrupt, and LiftError
     is raised.
     """
     trace = kernel.trace
-    kernel_total = evaluate(kernel.instance.graph, kernel_ord).total
+    kernel_report = evaluate(kernel.instance.graph, kernel_ord)
     vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
-    kept = vertex_map[kernel_ord.array]
+    kept = vertex_map[kernel_ord.array[: kernel_report.max_cost]]
     lifted = Ordering.from_prefix(kept[kept >= 0], original.graph.n)
     report = evaluate(original.graph, lifted)
-    if report.total != kernel_total + trace.w_offset:
+    if report.total != kernel_report.total + trace.w_offset:
         raise LiftError(
-            f"lift mismatch: original cost {report.total} != kernel {kernel_total} "
+            f"lift mismatch: original cost {report.total} != kernel {kernel_report.total} "
             f"+ offset {trace.w_offset}"
         )
     if report.max_cost > original.k:

@@ -314,9 +314,11 @@ def witness_corpus():
                 yield n, i, k, Instance(g, w=k * g.m, k=k)
 
 
-# sha256 of every (cost, witness) of the corpus, as computed by the solver
-# that walked every mapping; any change to a cost or a tie-break moves it
-WITNESS_DIGEST = "e7177ad00316afcbd13633d86d266ff492d3aa49ea065bc83b01734e59c96dd4"
+# sha256 of every (cost, witness) of the corpus; both routes return the
+# lexicographically smallest optimal sequence, so it is also the digest of
+# branch_solve's witnesses entered twice; any change to a cost or a
+# tie-break moves it
+WITNESS_DIGEST = "22008cdd1db57ccf8f0e3fade0d3c1b71d035ddfa398c26785ee8e4a1a6ecccc"
 
 
 def test_witnesses_pinned():
@@ -391,18 +393,13 @@ def all_subsets(s):
 
 
 def same_as_subset_dp(inst):
-    """branch_solve returns the subset DP's (cost, sequence).  solve returns
-    its cost; its lifted witness keeps the kernel's whole sequence, so it
-    need not be the smallest one (WITNESS_DIGEST pins it as it is)."""
+    """branch_solve and solve both return the subset DP's (cost, sequence)."""
     want = subset_dp_optimal(inst.graph, inst.k)
     r = branch_solve(inst)
     got = None if r.best_cost is None else (r.best_cost, r.best_ordering.sequence)
     assert got == (None if want is None else (want[0], want[1].sequence)), inst.k
     lifted = solve(inst)
-    assert lifted.best_cost == r.best_cost
-    if lifted.best_cost is not None:
-        report = evaluate(inst.graph, lifted.best_ordering)
-        assert report.total == lifted.best_cost and report.max_cost <= inst.k
+    assert (lifted.best_cost, lifted.best_ordering) == (r.best_cost, r.best_ordering), inst.k
 
 
 @settings(max_examples=100, deadline=None)
