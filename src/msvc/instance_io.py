@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Instance, Ordering, OrderingError, _permutation_error, build_graph
+from .graph import MAX_VERTICES, Instance, Ordering, OrderingError, _permutation_error, build_graph
 
 
 class ParseError(ValueError):
@@ -80,7 +80,8 @@ def parse_instance(text: str) -> Instance:
     The whole text is checked and decoded in bulk with numpy; only text the
     bulk check rejects goes through the line-by-line reader, which names the
     offending line (or reads the rare forms the bulk check leaves to it,
-    such as non-ASCII whitespace or a '+' sign)."""
+    such as non-ASCII whitespace or a '+' sign).  A self-loop or a duplicate
+    edge is named with the ids as the file writes them."""
     parsed = _parse_bulk(text)
     if parsed is None:
         parsed = _parse_lines(text)
@@ -88,18 +89,33 @@ def parse_instance(text: str) -> Instance:
     try:
         graph = build_graph(n, edges)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        # past the vertex count, every endpoint is in range, so the fault is
+        # a self-loop or a duplicate edge: name it as the file writes it
+        raise ParseError(str(exc) if n > MAX_VERTICES else _edge_fault(edges)) from exc
     return Instance(graph=graph, w=w, k=k)
+
+
+def _edge_fault(edges) -> str:
+    """The fault build_graph names in edges whose endpoints are in range, the
+    first self-loop in input order, else the smallest duplicated pair, with
+    1-indexed ids."""
+    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1) + 1
+    loop = pairs[:, 0] == pairs[:, 1]
+    if loop.any():
+        return f"self-loop at vertex {pairs[loop.argmax(), 0]}"
+    unique, counts = np.unique(pairs, axis=0, return_counts=True)
+    return f"duplicate edge {tuple(unique[(counts > 1).argmax()].tolist())}"
 
 
 def _parse_bulk(text: str):
     """(n, (m, 2) edge array, k, w), or None when the text is not one header
     line, comment lines, blank lines and exactly m edge lines of decimal
     endpoints in 1..n, in that order."""
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    if "\x85" in text or "\u2028" in text or "\u2029" in text:
+        return None  # the line breaks of str.splitlines beyond ASCII
+    # any other non-ASCII character becomes '?', which only a comment line
+    # may hold
+    data = text.encode("ascii", errors="replace")
     cls = np.frombuffer(bytearray(data.translate(_CLASS)), dtype=np.uint8)
     breaks = np.flatnonzero(cls == _BREAK)
     # line i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1

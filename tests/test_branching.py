@@ -626,6 +626,18 @@ def test_greedy_incumbent_stops_past_k():
     assert time.perf_counter() - start < 1.0
 
 
+def test_no_cover_builds_no_dp():
+    # a shuffled perfect matching on 40,000 vertices has no vertex cover of
+    # 3 vertices, so the DP must not set up its n-bit masks at k = 3
+    ids = list(range(40_000))
+    random.Random(3).shuffle(ids)
+    g = build_graph(40_000, [(ids[2 * i], ids[2 * i + 1]) for i in range(20_000)])
+    start = time.perf_counter()
+    r = branch_solve(Instance(g, w=0, k=3))
+    assert time.perf_counter() - start < 0.5
+    assert (r.best_cost, r.covers_enumerated, r.dp_states) == (None, 0, 0)
+
+
 def test_prefix_dp_scales_with_its_states_on_a_large_star():
     # a 20,001-vertex star at k = 1: one cover, the center, and one state;
     # setting up the DP must not cost more than that state

@@ -116,15 +116,16 @@ def test_roundtrip_bit_exact(inst):
 # ---------------------------------------------------------------- pins
 
 # (text, outcome) as produced before parsing moved to numpy: ("error",
-# message) for a rejected text, ("ok", n, edges, k, w) for an accepted one
+# message) for a rejected text, ("ok", n, edges, k, w) for an accepted one;
+# a self-loop or a duplicate edge is named with the file's 1-indexed ids
 PARSE_PINS = [
     ('e 1 2\n', ('error', 'line 1: edge before header')),
     ('p msvc 2 1 1\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
     ('p other 2 1 1 3\ne 1 2\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
     ('p msvc 2 2 1 3\ne 1 2\n', ('error', 'header declares m=2 edges, found 1')),
     ('p msvc 2 1 1 3\ne 1 3\n', ('error', 'line 2: endpoint outside 1..2')),
-    ('p msvc 2 1 1 3\ne 1 1\n', ('error', 'self-loop at vertex 0')),
-    ('p msvc 2 2 1 3\ne 1 2\ne 2 1\n', ('error', 'duplicate edge (0, 1)')),
+    ('p msvc 2 1 1 3\ne 1 1\n', ('error', 'self-loop at vertex 1')),
+    ('p msvc 2 2 1 3\ne 1 2\ne 2 1\n', ('error', 'duplicate edge (1, 2)')),
     ('p msvc 2 1 -1 3\ne 1 2\n', ('error', 'line 1: negative k or w')),
     ('p msvc 2 1 1 3\nq 1 2\n', ('error', "line 2: unknown record 'q'")),
     ('p msvc 2 1 1 3\ne 1 2\np msvc 2 1 1 3\n', ('error', 'line 3: duplicate header')),
@@ -138,7 +139,7 @@ PARSE_PINS = [
     ('p msvc 3 2 1 3\ne 1 2\ne 2 3', ('ok', 3, ((0, 1), (1, 2)), 1, 3)),
     ('p msvc 3 1 1 3\ne 01 2\n', ('ok', 3, ((0, 1),), 1, 3)),
     ('c top\n  c indented\np msvc 4 3 2 9\ne 4 1\ne 3 1\ne 2 1\n', ('ok', 4, ((0, 1), (0, 2), (0, 3)), 2, 9)),
-    ('p msvc 3 2 1 3\ne 1 2\ne 1 2\n', ('error', 'duplicate edge (0, 1)')),
+    ('p msvc 3 2 1 3\ne 1 2\ne 1 2\n', ('error', 'duplicate edge (1, 2)')),
     ('p msvc 3 2 1 3\ne 2 2\ne 1 5\n', ('error', 'line 3: endpoint outside 1..3')),
     ('p msvc 3 1 1 3\ne 1 2\ne 2 3\n', ('error', 'header declares m=1 edges, found 2')),
     ('p msvc 3 1 1 3\n', ('error', 'header declares m=1 edges, found 0')),
@@ -162,7 +163,36 @@ PARSE_PINS = [
     ('p msvc 3 1 1 3 e 1 2\n', ('error', "line 1: expected 'p msvc <n> <m> <k> <w>'")),
     ('p msvc 03 01 1 3\ne 1 2\n', ('ok', 3, ((0, 1),), 1, 3)),
     ('p msvc 3 0 1 3\n\n\nc\n', ('ok', 3, (), 1, 3)),
+    ('p msvc 3 4 1 3\ne 1 3\ne 3 2\ne 2 2\ne 1 3\n', ('error', 'self-loop at vertex 2')),
+    ('p msvc 4 4 1 3\ne 4 3\ne 1 2\ne 3 4\ne 2 1\n', ('error', 'duplicate edge (1, 2)')),
 ]
+
+# (text, the line reader's outcome): non-ASCII text; only the comment case
+# may take the bulk path
+NON_ASCII = [
+    ('c caf\xe9\np msvc 3 1 1 3\ne 1 2\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\ne 1 2\nc note\u2028e 2 3\n', ('error', 'header declares m=1 edges, found 2')),
+    ('p msvc 3 1 1 3\ne 1\xa02\n', ('ok', 3, ((0, 1),), 1, 3)),
+    ('p msvc 3 1 1 3\n\xa0c note\ne 2 3\n', ('ok', 3, ((1, 2),), 1, 3)),
+]
+
+
+@pytest.mark.parametrize("text,expected", NON_ASCII)
+def test_non_ascii_text_reads_as_the_line_reader_reads_it(text, expected):
+    try:
+        n, edges, k, w = instance_io._parse_lines(text)
+    except ParseError as exc:
+        lines = ("error", str(exc))
+    else:
+        lines = ("ok", n, tuple(edges), k, w)
+    assert lines == expected
+    bulk = instance_io._parse_bulk(text)
+    if text.startswith("c"):
+        assert ("ok", bulk[0], tuple(map(tuple, bulk[1].tolist())), bulk[2], bulk[3]) == expected
+    else:
+        assert bulk is None
+    inst = parse_instance(text) if expected[0] == "ok" else None
+    assert inst is None or ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w) == expected
 
 
 @pytest.mark.parametrize("text,expected", PARSE_PINS)
@@ -204,7 +234,8 @@ def test_write_instance_pinned(family, params, seed, k, w, digest):
 @st.composite
 def instance_texts(draw):
     """Instance texts in every spelling the format allows (comments, blank
-    lines, tabs, CR, vertical tabs, leading zeros), some with a defect."""
+    lines, tabs, CR, vertical tabs, leading zeros, non-ASCII comments and
+    spaces), some with a defect."""
     n = draw(st.integers(min_value=0, max_value=6))
     ids = st.integers(min_value=0, max_value=n + 1)
     pairs = draw(st.lists(st.tuples(ids, ids), max_size=8))
@@ -217,7 +248,8 @@ def instance_texts(draw):
     for u, v in pairs:
         u, v = draw(zeros) + str(u), draw(zeros) + str(v)
         lines.append(draw(pad) + "e" + draw(space) + u + draw(space) + v + draw(pad))
-    extras = ["", "c note 1 2", "cfoo e 3", "  c", "e 1", "e 1 2 3", "x 1 2", "e +1 2", "e 1 a"]
+    extras = ["", "c note 1 2", "cfoo e 3", "  c", "e 1", "e 1 2 3", "x 1 2", "e +1 2", "e 1 a",
+              "c caf\xe9", "c \u2028e 1 2", "\xa0c", "e 1\xa02"]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(st.sampled_from(extras)))
     ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b"])) for _ in lines]
