@@ -9,23 +9,17 @@ charge is the sum over its prefixes of their uncovered edges (its chain
 cost).
 
 One prefix DP serves every cover.  A state is (X, R): the vertices X placed
-so far and the cover vertices R = S - X still to place, with one root
-(empty, S) per minimal cover.  From (X, R) on, the ordering places R and at
-most k - |X| - |R| vertices outside X + R, each with all its neighbors in
-S, which lies in X + R; so the least chain cost of the prefixes from X on,
-
-    togo(X, R) = unc(X) + the least togo one vertex later,
-
-and 0 once X covers every edge, depends on (X, R) only, and one memo holds
-the states of all covers, each keyed by the one int X | R << n of the two
-vertex masks.  Vertices with the same neighbors (false twins) are
-interchangeable, so a move places a vertex of R or the smallest member
-outside X + R of a twin class; degree-0 vertices join no class, and a
-vertex of R is not placed once all its edges are covered, as either would
-only repeat a prefix's charge.  Moves are made in the DP pass only, which
-looks a next state up in the memo (or sees it has no uncovered edge)
-before it recurses, so only the states reached from the roots are
-evaluated.
+so far and the cover vertices R = S - X still to place, keyed by the one
+int X | R << n, with one root (empty, S) per minimal cover.  A move places
+a vertex of R that covers an edge or, while |X| + |R| < k, the smallest
+member outside X + R of a twin class (vertices with the same neighbors,
+all in S, are interchangeable; degree-0 vertices join no class).  A
+state's moves depend on the state only, and each adds one vertex to X, so
+the DP runs forward one layer per |X|: a layer is complete before it is
+expanded, and each state is expanded once.  A layer maps a state to the
+least charge of the prefixes reaching it (the sum of their prefixes'
+uncovered edges), the lexicographically smallest prefix at that charge,
+and its uncovered edges.
 
 Savings floor.  Along an optimal path from any state the edges each vertex
 newly covers (its saving) never grow: if a vertex saved more than the one
@@ -33,37 +27,34 @@ just before it, swapping the two would lower the chain cost and place no
 more vertices outside the cover.  With spare such placements left, a vertex
 of R with top edges to vertices outside X + R is still to be placed when
 top > spare, and saves at least top - spare then; so a class vertex that
-saves less is on no optimal path and is not offered.  Every togo, and so
-every cover's optimum and the witness, is the same as without the floor.
+saves less is on no optimal path and is not offered.  Every cover's
+optimum, and so the witness, is the same as without the floor.
 
-Incumbent cap.  The greedy ordering, which repeatedly places the vertex
-covering the most uncovered edges, bounds the optimum when its max charge
-is at most k: its cost is the incumbent.  Each root is evaluated under a
-cap, the incumbent or the least togo of the roots before it, and a state
-under cap c passes c - unc(X) on to its next states.  A move that saves s
-edges and leaves u > 0 is cut when its saving bound u + (u - s) + ... over
-the terms >= 0, (q + 1)u - s q(q + 1)/2 with q = u // s, exceeds the cap
-it would pass on.  Every move saves s >= 1: a vertex of R only when it
-saves an edge, a class vertex only at least the floor, which is >= 1.
-Moves are tried fewest edges left first, so s falls as u rises and the
-bound never falls: once one move is cut every later one is, and a state is
-mostly first reached along a cheap prefix, where its cap is large.  An
-optimal move starts an optimal path, whose savings never grow, so its
-bound is at most its next state's togo.  So a state whose moves all exceed
-its cap stores a lower bound above the cap (a negative record), evaluated
-again only when a larger cap reaches it, and a state within its cap cuts
-none of its optimal moves, tied ones included: its record is exact and
-holds the smallest vertex of an optimal move.  Every state on an optimal
-path from an optimal root is within its cap, so the optimal covers, their
-cost and the witness are the same as without the cap.
+Cap.  It starts at the least cost of the greedy ordering, which repeatedly
+places the vertex covering the most uncovered edges, when its max charge
+is at most k, and of each cover placed alone, most uncovered edges first;
+each complete ordering the layers find lowers it.  A move that saves s
+edges and leaves u > 0 is dropped when the charge so far plus its saving
+bound u + (u - s) + ... over the terms >= 0, (q + 1)u - s q(q + 1)/2 with
+q = u // s, exceeds the cap.  Each cap is the cost of a real ordering, and
+along an optimal path the savings never grow, so the bound is at most the
+charge still to come and the strict cut drops no optimal path, tied ones
+included.  Every move saves s >= 1 (a class vertex at least the floor), and
+moves are tried fewest edges left first, so s falls as u rises and the
+bound never falls: the first dropped move ends a state's loop.
 
-The witness is the lexicographically smallest optimal sequence, read off
-the memo, whose exact entries pack togo with the smallest vertex of an
-optimal move.  A walk starts from every root at the optimum; its live
-states share X, and each step places the least vertex they recorded, keeps
-the states that recorded it and stops once X covers every edge; the rest
-follow in ascending id.  The greedy ordering also cross-checks the search:
-when its max charge is at most k, the DP must find an ordering too.
+Witness.  A move that leaves no edge uncovered gives a candidate, its
+charge and the prefix with the move, and ends its state's loop, as every
+other move costs more; the least candidate is the tight prefix of the
+witness, and the other vertices follow in ascending id.  It is the
+lexicographically smallest optimal sequence W: W's prefix to each state it
+passes has the least charge there (else a cheaper prefix with W's later
+moves would beat W) and is the smallest prefix at that charge (else
+swapping it in would give a smaller sequence at the same cost).  A
+complete state is never expanded, so no candidate is a prefix of another,
+and comparing prefixes orders the full sequences.  The greedy ordering
+also cross-checks the search: when its max charge is at most k, the DP
+must find an ordering too.
 """
 
 from __future__ import annotations
@@ -83,8 +74,8 @@ class SolveResult:
     a no), ``w`` the budget it is compared with and ``ids`` the witness's
     packed ids (see ``Ordering``; None without a witness).  The search
     counters are ``covers_enumerated``, the minimal covers enumerated,
-    ``dp_states``, the distinct (X, R) states of the prefix DP evaluated
-    across all of them (a state reached from several covers counts once),
+    ``dp_states``, the (X, R) states the prefix DP's layers held, each
+    expanded once (a state reached from several covers counts once),
     and ``incumbent``, the greedy ordering's cost (on the scale of
     ``best_cost``, kernel offset included), or None when that ordering's
     max charge exceeds k.  ``solve`` also records the kernel's n and m and
@@ -162,6 +153,8 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
     if not m:
         return 0, [], 0
     full = (1 << n) - 1
+    shift = n.bit_length()
+    first = (1 << shift) - 1
     adj = [sum(1 << x for x in g.adj[v]) for v in range(n)]
     twins: dict[int, int] = {}  # N(u) -> its members, both as masks
     for u, link in enumerate(adj):
@@ -181,15 +174,14 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
             x |= 1 << v
         cap = min(cap, cost)
         layer[sum(1 << v for v in cover) << n] = 0, (), m
-    best = None
-    states = 0
+    best, states = None, 0
     while layer:
         states += len(layer)
         after = {}
         for key, (charge, prefix, unc) in layer.items():
             x, r, spare = key & full, key >> n, k - key.bit_count()
             free, out = full ^ x ^ r, ~x
-            moves = []  # (edges left uncovered, vertex) of every move saving an edge
+            moves = []  # edges left uncovered << shift | vertex, of every move saving an edge
             top = 0
             rest = r
             while rest:
@@ -199,18 +191,17 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
                 if spare > 0 and (reach := (link & free).bit_count()) > top:
                     top = reach
                 if saved := (link & out).bit_count():
-                    moves.append((unc - saved, v))
+                    moves.append((unc - saved) << shift | v)
             if spare > 0:
                 floor = top - spare if top > spare + 1 else 1  # max(top - spare, 1), inlined
                 for link, members in classes:
                     avail = members & free
                     if avail and (saved := (link & r).bit_count()) >= floor:
-                        moves.append((unc - saved, (avail & -avail).bit_length() - 1))
-            # the moves that cover the most edges first: the saving bound
-            # never falls along them
-            moves.sort()
+                        moves.append((unc - saved) << shift | (avail & -avail).bit_length() - 1)
+            moves.sort()  # fewest edges left first: the saving bound never falls
             charge += unc
-            for left, v in moves:
+            for move in moves:
+                left, v = move >> shift, move & first
                 if not left:
                     if best is None or (charge, prefix + (v,)) < best:
                         best = charge, prefix + (v,)
@@ -220,10 +211,10 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
                 if charge + (q + 1) * left - (unc - left) * q * (q + 1) // 2 > cap:
                     break  # and every later move is cut too
                 low = 1 << v
-                state = charge, prefix + (v,), left
                 nxt = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
-                if nxt not in after or state < after[nxt]:
-                    after[nxt] = state
+                old = after.get(nxt)
+                if old is None or charge < old[0] or charge == old[0] and prefix + (v,) < old[1]:
+                    after[nxt] = charge, prefix + (v,), left
         layer = after
     return best[0], list(best[1]), states
 
@@ -235,8 +226,7 @@ def branch_solve(inst: Instance) -> SolveResult:
     covers = enumerate_minimal_covers(g, k)
     incumbent = greedy_incumbent(g, k)
     found = _prefix_dp(g, k, covers, incumbent)
-    best_cost = ids = None
-    states = 0
+    best_cost, ids, states = None, None, 0
     if found:
         best_cost, prefix, states = found
         best_ordering = Ordering.from_prefix(prefix, g.n)
