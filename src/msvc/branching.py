@@ -15,11 +15,10 @@ a vertex of R that covers an edge or, while |X| + |R| < k, the smallest
 member outside X + R of a twin class (vertices with the same neighbors,
 all in S, are interchangeable; degree-0 vertices join no class).  A
 state's moves depend on the state only, and each adds one vertex to X, so
-the DP runs forward one layer per |X|: a layer is complete before it is
-expanded, and each state is expanded once.  A layer maps a state to the
-least charge of the prefixes reaching it (the sum of their prefixes'
-uncovered edges), the lexicographically smallest prefix at that charge,
-and its uncovered edges.
+the DP runs forward one layer per |X|, each complete before it is expanded
+and each state expanded once.  A layer keeps a state's least charge so far
+(the summed uncovered edges of the prefixes before it), the smallest
+prefix at that charge and its uncovered edges.
 
 Savings floor.  Along an optimal path from any state the edges each vertex
 newly covers (its saving) never grow: if a vertex saved more than the one
@@ -45,16 +44,15 @@ bound never falls: the first dropped move ends a state's loop.
 
 Witness.  A move that leaves no edge uncovered gives a candidate, its
 charge and the prefix with the move, and ends its state's loop, as every
-other move costs more; the least candidate is the tight prefix of the
-witness, and the other vertices follow in ascending id.  It is the
-lexicographically smallest optimal sequence W: W's prefix to each state it
-passes has the least charge there (else a cheaper prefix with W's later
-moves would beat W) and is the smallest prefix at that charge (else
-swapping it in would give a smaller sequence at the same cost).  A
-complete state is never expanded, so no candidate is a prefix of another,
-and comparing prefixes orders the full sequences.  The greedy ordering
-also cross-checks the search: when its max charge is at most k, the DP
-must find an ordering too.
+other move costs more; the least candidate is the witness's tight prefix,
+the other vertices following in ascending id.  It is the lexicographically
+smallest optimal sequence W: W's prefix to each state it passes has the
+least charge there (else a cheaper prefix with W's later moves would beat
+W) and is the smallest prefix at that charge (else swapping it in would
+give a smaller sequence at the same cost).  A complete state is never
+expanded, so no candidate is a prefix of another, and comparing prefixes
+orders the full sequences.  The greedy ordering also cross-checks the
+search: when its max charge is at most k, the DP must find one too.
 """
 
 from __future__ import annotations
@@ -146,7 +144,8 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
     optimal sequence from the roots of ``covers``, under a cap that starts
     at ``incumbent`` (a feasible ordering's cost, or None), or None without
     a cover.  A layer maps each state's key x | r << n to its charge so far,
-    the smallest prefix at that charge and its uncovered edges."""
+    the smallest prefix at that charge, as its parent's prefix and a 1-tuple
+    tail (empty at a root) so that ties build no prefix, and unc."""
     if not covers:
         return None
     n, m = g.n, g.m
@@ -173,17 +172,17 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
             unc -= (adj[v] & ~x).bit_count()
             x |= 1 << v
         cap = min(cap, cost)
-        layer[sum(1 << v for v in cover) << n] = 0, (), m
+        layer[sum(1 << v for v in cover) << n] = 0, (), (), m
     best, states = None, 0
     while layer:
         states += len(layer)
         after = {}
-        for key, (charge, prefix, unc) in layer.items():
+        for key, (charge, parent, tail, unc) in layer.items():
+            prefix = parent + tail
             x, r, spare = key & full, key >> n, k - key.bit_count()
             free, out = full ^ x ^ r, ~x
             moves = []  # edges left uncovered << shift | vertex, of every move saving an edge
-            top = 0
-            rest = r
+            top, rest = 0, r
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -212,9 +211,10 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
                     break  # and every later move is cut too
                 low = 1 << v
                 nxt = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
+                state = charge, prefix, (v,), left
                 old = after.get(nxt)
-                if old is None or charge < old[0] or charge == old[0] and prefix + (v,) < old[1]:
-                    after[nxt] = charge, prefix + (v,), left
+                if old is None or state < old:
+                    after[nxt] = state
         layer = after
     return best[0], list(best[1]), states
 
