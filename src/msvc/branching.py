@@ -160,7 +160,7 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
         if link:
             twins[link] = twins.get(link, 0) | 1 << u
     classes = tuple(twins.items())
-    cap = m * k if incumbent is None else incumbent  # the DP charges no edge more than k
+    cap = incumbent
     layer = {}
     for cover in covers:
         # the cover placed alone, most uncovered edges first, is feasible
@@ -171,7 +171,7 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
             rest.remove(v)
             unc -= (adj[v] & ~x).bit_count()
             x |= 1 << v
-        cap = min(cap, cost)
+        cap = cost if cap is None else min(cap, cost)
         layer[sum(1 << v for v in cover) << n] = 0, (), (), m
     best, states = None, 0
     while layer:

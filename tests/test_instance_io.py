@@ -165,34 +165,12 @@ PARSE_PINS = [
     ('p msvc 3 0 1 3\n\n\nc\n', ('ok', 3, (), 1, 3)),
     ('p msvc 3 4 1 3\ne 1 3\ne 3 2\ne 2 2\ne 1 3\n', ('error', 'self-loop at vertex 2')),
     ('p msvc 4 4 1 3\ne 4 3\ne 1 2\ne 3 4\ne 2 1\n', ('error', 'duplicate edge (1, 2)')),
-]
-
-# (text, the line reader's outcome): non-ASCII text; only the comment case
-# may take the bulk path
-NON_ASCII = [
+    # non-ASCII text, as the line reader reads it
     ('c caf\xe9\np msvc 3 1 1 3\ne 1 2\n', ('ok', 3, ((0, 1),), 1, 3)),
     ('p msvc 3 1 1 3\ne 1 2\nc note\u2028e 2 3\n', ('error', 'header declares m=1 edges, found 2')),
     ('p msvc 3 1 1 3\ne 1\xa02\n', ('ok', 3, ((0, 1),), 1, 3)),
     ('p msvc 3 1 1 3\n\xa0c note\ne 2 3\n', ('ok', 3, ((1, 2),), 1, 3)),
 ]
-
-
-@pytest.mark.parametrize("text,expected", NON_ASCII)
-def test_non_ascii_text_reads_as_the_line_reader_reads_it(text, expected):
-    try:
-        n, edges, k, w = instance_io._parse_lines(text)
-    except ParseError as exc:
-        lines = ("error", str(exc))
-    else:
-        lines = ("ok", n, tuple(edges), k, w)
-    assert lines == expected
-    bulk = instance_io._parse_bulk(text)
-    if text.startswith("c"):
-        assert ("ok", bulk[0], tuple(map(tuple, bulk[1].tolist())), bulk[2], bulk[3]) == expected
-    else:
-        assert bulk is None
-    inst = parse_instance(text) if expected[0] == "ok" else None
-    assert inst is None or ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w) == expected
 
 
 @pytest.mark.parametrize("text,expected", PARSE_PINS)
@@ -204,6 +182,15 @@ def test_parse_instance_pinned(text, expected):
     else:
         got = ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w)
     assert got == expected
+
+
+def test_only_non_ascii_comments_take_the_bulk_path():
+    # a non-ASCII character outside a comment, or a line break beyond ASCII,
+    # leaves the text to the line reader
+    texts = [text for text, _ in PARSE_PINS if not text.isascii()]
+    assert len(texts) == 5
+    assert [instance_io._parse_bulk(text) is not None for text in texts] == [
+        text.startswith("c") for text in texts]
 
 
 def test_parse_pins_cover_every_rejected_case():
