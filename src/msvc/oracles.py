@@ -1,6 +1,6 @@
-"""Ground-truth solvers: full permutation enumeration (lexicographic int8
-numpy blocks, no Python object per ordering) and a subset dynamic program
-over placement prefixes, plus a fast path for regular graphs.
+"""Ground-truth solvers: full permutation enumeration (head blocks over a
+cached uint8 table of tail orders, see ``_blocks``) and a subset dynamic
+program over placement prefixes, plus a fast path for regular graphs.
 
 Both oracles return the minimum total charge over all orderings whose maximum
 single charge is at most k, together with the lexicographically smallest
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import factorial, inf
 
 import numpy as np
 
@@ -24,9 +25,9 @@ BRUTE_FORCE_GUARD = 10
 SUBSET_DP_GUARD = 24
 
 _TAIL = 8  # orderings of the last min(n, _TAIL) slots come from one cached table
+_FULL = np.uint8(255)  # above any tail sum: masks a column out of a uint8 minimum
 
-# value held by every DpTable mask with more than k vertices
-DP_UNFILLED = int(np.iinfo(np.int32).max)
+DP_UNFILLED = int(np.iinfo(np.int16).max)  # held by every DpTable mask of more than k vertices
 
 
 class OracleGuardError(ValueError):
@@ -37,15 +38,16 @@ class OracleGuardError(ValueError):
 class DpTable:
     """Prefix-placement table over all 2^n vertex subsets, indexed by bitmask.
 
-    ``value`` (int32): for a mask S of s <= k vertices, value[S] = least[S]
+    ``value`` (int16): for a mask S of s <= k vertices, value[S] = least[S]
     + unc(S), where unc(T) counts the edges with no end in T and least[S] is
     the least chain charge unc(P_0) + ... + unc(P_{s-1}) over the orderings
     whose first s vertices P_s are S.  An edge charged c is left uncovered by
     c prefixes, so on a vertex cover value[S] is the least total charge;
     elsewhere each edge with no end in S counts s + 1.  value[0] == m; masks
-    of more than k vertices hold ``DP_UNFILLED``.  ``covers`` (int64): the
-    vertex covers of at most k vertices at the least value among them, by
-    size, then ascending.
+    of more than k vertices hold ``DP_UNFILLED``, the int16 maximum, above any
+    filled value: m * (n + 1) <= 276 * 25 under the n = 24 guard.  ``covers``
+    (int64): the vertex covers of at most k vertices at the least value among
+    them, by size, then ascending.
     """
 
     value: np.ndarray
@@ -53,81 +55,79 @@ class DpTable:
 
 
 @lru_cache(maxsize=None)
-def _perm_table(r: int) -> np.ndarray:
-    """The permutations of range(r), lexicographic, as a read-only (r, r!) int8 table."""
-    table = np.hstack(list(_perm_blocks(r, r - 1))) if r else np.empty((0, 1), np.int8)
+def _tail_table() -> np.ndarray:
+    """Read-only (_TAIL, _TAIL!) uint8 table: column j holds the slot of each
+    of 0.._TAIL-1 in the j-th permutation of range(_TAIL), lexicographic."""
+    seqs = np.array(list(permutations(range(_TAIL))), dtype=np.uint8)
+    table = np.ascontiguousarray(np.argsort(seqs, axis=1).T, dtype=np.uint8)
     table.flags.writeable = False
     return table
 
 
-def _perm_blocks(n: int, r: int):
-    """Every permutation of range(n), in lexicographic order, as int8 column
-    blocks: one (n, r!) block per ordered choice of the first n - r values."""
-    table = _perm_table(r)
-    for head in permutations(range(n), n - r):
-        block = np.empty((n, table.shape[1]), dtype=np.int8)
-        block[: n - r] = np.array(head, dtype=np.int8)[:, None]
-        block[n - r :] = table
-        for j, h in enumerate(sorted(head)):  # shift past each head value
-            block[n - r :] += table >= h - j
-        yield block
+def _blocks(g: Graph):
+    """Every ordering of g's vertices, lexicographic, one block per head (the
+    first h = max(n - _TAIL, 0) vertices); the tail, the rest ascending, takes
+    its orders from the columns of ``slots``, a slice of ``_tail_table``.
 
-
-def _charges(g: Graph, pos: np.ndarray):
-    """(totals, maxes) per column of a position block, positions counting from 0:
-    the total charges less g.m (int16) and the largest charges less 1 (int8)."""
-    c = np.empty(pos.shape[1], dtype=np.int8)
-    totals = np.zeros(pos.shape[1], dtype=np.int16)
-    maxes = np.full(pos.shape[1], -1, dtype=np.int8)  # max charge 0 without edges
-    for u, v in zip(g.eu.tolist(), g.ev.tolist()):
-        np.minimum(pos[u], pos[v], out=c)
-        totals += c
-        np.maximum(maxes, c, out=maxes)
-    return totals, maxes
+    Yields (head, tail, slots, base, top, lift, tot, mx).  A head edge charges
+    its first head slot, from 1; these sum to ``base`` and peak at ``top``.  A
+    tail edge (a, b) charges lift + min(slots[a], slots[b]): ``base`` adds the
+    lift, n - _TAIL + 1, and per column ``tot`` sums the minima (at most
+    comb(_TAIL, 2) * (_TAIL - 2), exact in uint8) and ``mx`` is the largest.
+    """
+    if g.n > BRUTE_FORCE_GUARD:
+        raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {g.n}")
+    n, h = g.n, max(g.n - _TAIL, 0)
+    slots = _tail_table()[_TAIL - n + h :, : factorial(n - h)]
+    c = np.empty(slots.shape[1], dtype=np.uint8)
+    for head in permutations(range(n), h):
+        tail = sorted(set(range(n)).difference(head))
+        at = {v: i for i, v in enumerate(head + tuple(tail))}
+        firsts = [min(at[u], at[v]) for u, v in g.edges]
+        heads = [i + 1 for i in firsts if i < h]
+        pairs = [(at[u] - h, at[v] - h) for (u, v), i in zip(g.edges, firsts) if i >= h]
+        # an edgeless tail lifts nothing, and its first column stands for all
+        lift, width = (n - _TAIL + 1, c.size) if pairs else (0, 1)
+        tot, mx = np.zeros(width, dtype=np.uint8), np.zeros(width, dtype=np.uint8)
+        for a, b in pairs:
+            np.minimum(slots[a], slots[b], out=c)
+            tot += c
+            np.maximum(mx, c, out=mx)
+        yield head, tail, slots, sum(heads) + lift * len(pairs), max(heads, default=0), lift, tot, mx
 
 
 def brute_force_optimal(g: Graph, k: int):
     """Minimum total charge over all n! orderings with max charge <= k.
 
     Returns (cost, Ordering) with the lexicographically smallest optimal
-    sequence, or None if no ordering satisfies the max-charge bound.  Each
-    permutation is read as positions, as in ``brute_force_profile``; only
-    the cheapest feasible columns of a block are compared as sequences.
+    sequence, or None if no ordering satisfies the max-charge bound.  Blocks
+    and their columns both run in lexicographic order, so the first column
+    of least cost in the first block to reach it is the witness.
     """
-    n = g.n
-    if n > BRUTE_FORCE_GUARD:
-        raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
-    unset = np.iinfo(np.int16).max
-    low, best = unset, None  # the least feasible total less m so far, and its witness
-    for pos in _perm_blocks(n, min(n, _TAIL)):
-        totals, maxes = _charges(g, pos)
-        totals[maxes >= min(max(k, 0), n)] = unset
-        if (cost := totals.min()) < unset and cost <= low:
-            cols = np.flatnonzero(totals == cost)
-            for p in range(n):  # keep the columns with the least vertex at position p
-                cols = cols[next(hit for hit in (pos[v, cols] == p for v in range(n)) if hit.any())]
-            seq = np.argsort(pos[:, cols[0]]).tolist()
-            if cost < low or seq < best:
-                low, best = cost, seq
-    return None if best is None else (int(low) + g.m, Ordering.from_sequence(best))
+    low, best = inf, None
+    for head, tail, slots, base, top, lift, tot, mx in _blocks(g):
+        if top > k or (room := min(k, g.n) - lift) < int(mx.min()):
+            continue  # room, the largest tail minimum within k, is 0..n here
+        cut = tot | (mx > room) * _FULL
+        if (cost := base + int(cut.min())) < low:
+            low, best = cost, list(head) + [tail[i] for i in np.argsort(slots[:, cut.argmin()])]
+    return None if best is None else (low, Ordering.from_sequence(best))
 
 
 def brute_force_profile(g: Graph) -> list:
     """best[c] = minimum total over orderings with max charge <= c, else None.
 
-    One enumeration pass answers every c at once.  Each permutation is read as
-    positions: the inverses of all orderings give the same (total, max) pairs.
+    One enumeration pass answers every c at once: per block, the least total
+    of each class of columns with the same largest tail minimum.
     """
-    n = g.n
-    if n > BRUTE_FORCE_GUARD:
-        raise OracleGuardError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}, got {n}")
-    unset = np.iinfo(np.int16).max
-    best = np.full(n + 1, unset, dtype=np.int16)
-    for pos in _perm_blocks(n, min(n, _TAIL)):
-        totals, maxes = _charges(g, pos)
-        np.minimum.at(best, maxes + 1, totals)
+    best = [inf] * (g.n + 1)
+    for _, _, _, base, top, lift, tot, mx in _blocks(g):
+        for j in range(int(mx.min()), int(mx.max()) + 1):
+            if (low := int((tot | (mx != j) * _FULL).min())) < 255:
+                c = max(top, lift + j)
+                best[c] = min(best[c], base + low)
     # min total over max charge <= c is the prefix minimum
-    return [None if c == unset else c + g.m for c in np.minimum.accumulate(best).tolist()]
+    return [None if b == inf else b for b in accumulate(best, min)]
 
 
 def _adj_masks(g: Graph) -> np.ndarray:
@@ -175,9 +175,9 @@ def build_dp_table(g: Graph, k: int) -> DpTable:
     if n > SUBSET_DP_GUARD:
         raise OracleGuardError(f"subset DP limited to n <= {SUBSET_DP_GUARD}, got {n}")
     adj = _adj_masks(g)
-    value = np.full(1 << n, DP_UNFILLED, dtype=np.int32)
+    value = np.full(1 << n, DP_UNFILLED, dtype=np.int16)
     value[0] = g.m
-    layer, unc = np.zeros(1, dtype=np.int64), np.full(1, g.m, dtype=np.int32)
+    layer, unc = np.zeros(1, dtype=np.int64), np.full(1, g.m, dtype=np.int16)
     opt, covers = DP_UNFILLED, [layer[:0]]  # the least value of a cover so far, and its covers
     for s in range(min(k, n) + 1):
         if s:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from itertools import permutations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -83,18 +84,31 @@ def test_brute_profile_guard():
 
 
 @pytest.mark.parametrize("n", range(10))
-def test_perm_blocks_enumerate_lexicographically(n):
-    blocks = list(oracles._perm_blocks(n, min(n, oracles._TAIL)))
-    assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
-    got = [tuple(col) for b in blocks for col in b.T.tolist()]
+def test_blocks_enumerate_lexicographically(n):
+    """Head plus tail sequence, column by column, lists every ordering once,
+    in lexicographic order."""
+    got = []
+    for head, tail, slots, *_ in oracles._blocks(build_graph(n, [])):
+        assert slots.dtype == np.uint8 and slots.shape[0] == len(tail) == min(n, oracles._TAIL)
+        tails = np.array(tail, dtype=np.int64)[np.argsort(slots, axis=0).T]
+        got += [tuple(head) + seq for seq in map(tuple, tails.tolist())]
     assert got == list(permutations(range(n)))
 
 
 def test_import_builds_no_permutation_table():
-    code = "import msvc, msvc.oracles as o; print(o._perm_table.cache_info().currsize)"
+    code = "import msvc, msvc.oracles as o; print(o._tail_table.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "0"
+
+
+def test_narrow_dtype_bounds():
+    """A filled DP value is at most m * (n + 1), within int16; a tail sums at
+    most comb(_TAIL, 2) edge minima of at most _TAIL - 2 each, within uint8
+    below the 255 sentinel."""
+    guard = oracles.SUBSET_DP_GUARD
+    assert comb(guard, 2) * (guard + 1) < oracles.DP_UNFILLED == np.iinfo(np.int16).max
+    assert comb(oracles._TAIL, 2) * (oracles._TAIL - 2) < 255
 
 
 def test_brute_profile_prefix_min():
@@ -167,6 +181,7 @@ def test_dp_empty_graph():
     g = build_graph(0, [])
     assert subset_dp_optimal(g, 0) == (0, Ordering.from_sequence(()))
     assert subset_dp_optimal(build_graph(3, []), -1) is None  # no cover of -1 vertices
+    assert brute_force_optimal(build_graph(3, []), -1) is None
 
 
 # ------------------------------------------------------------ cross checks
@@ -198,9 +213,14 @@ def test_numpy_profile_matches_pure_python(g):
 
 
 def _head_path_graphs():
-    """Seeded gnp graphs at n = 9 and 10, where blocks have a fixed head."""
+    """Seeded gnp graphs at n = 9 and 10, where blocks have a fixed head; a
+    star and a two-centre graph, where some heads leave the tail edgeless;
+    K9 and K10, whose tails hold the most edges (28) of any graph."""
     return [generate(GeneratorSpec("gnp", (n, p), seed=9000 + 10 * n + i))
-            for n in (9, 10) for i, p in enumerate((0.3, 0.5, 0.7))]
+            for n in (9, 10) for i, p in enumerate((0.3, 0.5, 0.7))] + [
+        build_graph(10, [(0, v) for v in range(1, 10)]),
+        build_graph(9, [(0, 1)] + [(0, v) for v in range(2, 6)] + [(1, v) for v in range(6, 9)]),
+    ] + [build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in (9, 10)]
 
 
 @pytest.mark.parametrize("g", _head_path_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
@@ -211,9 +231,9 @@ def test_head_path_profile_matches_dp(g):
         assert profile[c] == (None if dp is None else dp[0])
 
 
-@pytest.mark.parametrize("g", _head_path_graphs()[::2], ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("g", _head_path_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
 def test_head_path_witness_matches_dp(g):
-    for k in (g.n // 2, g.n - 2, g.n):
+    for k in (0, 1, 2, g.n // 2, g.n - 2, g.n):
         b = brute_force_optimal(g, k)
         d = subset_dp_optimal(g, k)
         assert (b is None) == (d is None)
