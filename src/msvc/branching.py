@@ -20,27 +20,21 @@ and each state expanded once.  A layer keeps a state's least charge so far
 (the summed uncovered edges of the prefixes before it), the smallest
 prefix at that charge and its uncovered edges.
 
-Savings floor.  Along an optimal path from any state the edges each vertex
-newly covers (its saving) never grow: if a vertex saved more than the one
-just before it, swapping the two would lower the chain cost and place no
-more vertices outside the cover.  With spare such placements left, a vertex
-of R with top edges to vertices outside X + R is still to be placed when
-top > spare, and saves at least top - spare then; so a class vertex that
-saves less is on no optimal path and is not offered.  Every cover's
-optimum, and so the witness, is the same as without the floor.
-
 Cap.  It starts at the least cost of the greedy ordering, which repeatedly
 places the vertex covering the most uncovered edges, when its max charge
-is at most k, and of each cover placed alone, most uncovered edges first;
-each complete ordering the layers find lowers it.  A move that saves s
-edges and leaves u > 0 is dropped when the charge so far plus its saving
-bound u + (u - s) + ... over the terms >= 0, (q + 1)u - s q(q + 1)/2 with
-q = u // s, exceeds the cap.  Each cap is the cost of a real ordering, and
-along an optimal path the savings never grow, so the bound is at most the
-charge still to come and the strict cut drops no optimal path, tied ones
-included.  Every move saves s >= 1 (a class vertex at least the floor), and
-moves are tried fewest edges left first, so s falls as u rises and the
-bound never falls: the first dropped move ends a state's loop.
+is at most k, and of each cover's greedy ordering, which places only the
+cover's vertices; each complete ordering the layers find lowers it.  Along
+an optimal path from any state the edges each vertex newly covers (its
+saving) never grow: if a vertex saved more than the one just before it,
+swapping the two would lower the chain cost and place no more vertices
+outside the cover.  So a move that saves s edges and leaves u > 0 is
+dropped when the charge so far plus its saving bound u + (u - s) + ...
+over the terms >= 0, (q + 1)u - s q(q + 1)/2 with q = u // s, exceeds the
+cap.  Each cap is the cost of a real ordering and the bound is at most the
+charge still to come, so the strict cut drops no optimal path, tied ones
+included.  Every move saves s >= 1, and moves are tried fewest edges left
+first, so s falls as u rises and the bound never falls: the first dropped
+move ends a state's loop.
 
 Witness.  A move that leaves no edge uncovered gives a candidate, its
 charge and the prefix with the move, and ends its state's loop, as every
@@ -58,7 +52,7 @@ search: when its max charge is at most k, the DP must find one too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph import Graph, Instance, InvariantError, Ordering, evaluate
 from .covers import enumerate_minimal_covers
@@ -117,15 +111,17 @@ class SolveResult:
     branches = property(lambda self: 0)  # harness alias: the prefix DP makes no branches
 
 
-def greedy_incumbent(g: Graph, k: int) -> Optional[int]:
-    """Cost of the ordering that repeatedly places the vertex with the most
-    uncovered edges (ties by ascending id), or None when its max charge
-    exceeds k, known as soon as a (k+1)-th vertex still covers an edge."""
+def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None) -> Optional[int]:
+    """Cost of the ordering that repeatedly places the vertex of ``pool``
+    (default all vertices) with the most uncovered edges (ties by ascending
+    id), or None when its max charge exceeds k, known as soon as a (k+1)-th
+    vertex still covers an edge.  On a cover it places the cover alone."""
+    pool = range(g.n) if pool is None else pool
     remaining = list(g.degrees)
     placed = [False] * g.n
     total = steps = 0
     while True:
-        v = max(range(g.n), key=lambda u: (remaining[u], -u), default=None)
+        v = max(pool, key=lambda u: (remaining[u], -u), default=None)
         if v is None or remaining[v] == 0:
             return total
         steps += 1
@@ -160,19 +156,9 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
         if link:
             twins[link] = twins.get(link, 0) | 1 << u
     classes = tuple(twins.items())
-    cap = incumbent
-    layer = {}
-    for cover in covers:
-        # the cover placed alone, most uncovered edges first, is feasible
-        rest, x, unc, cost = list(cover), 0, m, 0
-        while unc:
-            cost += unc
-            v = max(rest, key=lambda u: (adj[u] & ~x).bit_count())
-            rest.remove(v)
-            unc -= (adj[v] & ~x).bit_count()
-            x |= 1 << v
-        cap = cost if cap is None else min(cap, cost)
-        layer[sum(1 << v for v in cover) << n] = 0, (), (), m
+    cap = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
+    cap = cap if incumbent is None else min(cap, incumbent)
+    layer = {sum(1 << v for v in cover) << n: (0, (), (), m) for cover in covers}
     best, states = None, 0
     while layer:
         states += len(layer)
@@ -182,20 +168,16 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
             x, r, spare = key & full, key >> n, k - key.bit_count()
             free, out = full ^ x ^ r, ~x
             moves = []  # edges left uncovered << shift | vertex, of every move saving an edge
-            top, rest = 0, r
+            rest = r
             while rest:
                 low = rest & -rest
                 rest ^= low
-                link = adj[v := low.bit_length() - 1]
-                if spare > 0 and (reach := (link & free).bit_count()) > top:
-                    top = reach
-                if saved := (link & out).bit_count():
+                if saved := (adj[v := low.bit_length() - 1] & out).bit_count():
                     moves.append((unc - saved) << shift | v)
             if spare > 0:
-                floor = top - spare if top > spare + 1 else 1  # max(top - spare, 1), inlined
                 for link, members in classes:
                     avail = members & free
-                    if avail and (saved := (link & r).bit_count()) >= floor:
+                    if avail and (saved := (link & r).bit_count()):
                         moves.append((unc - saved) << shift | (avail & -avail).bit_length() - 1)
             moves.sort()  # fewest edges left first: the saving bound never falls
             charge += unc

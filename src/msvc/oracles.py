@@ -253,7 +253,7 @@ def regular_solve(g: Graph, k: int):
     d = degs.pop() if degs else 0
     k_eff = min(k, n)
     if d == 0:
-        return 0, Ordering.identity(n)
+        return None if k < 0 else (0, Ordering.identity(n))
     if d == 1:
         m = g.m
         if k_eff < m:

@@ -292,6 +292,12 @@ def test_greedy_incumbent():
     assert greedy_incumbent(claw_chain6(), 7) == 60  # already optimal
     assert greedy_incumbent(triangle(), 1) is None  # its max charge is 2
     assert greedy_incumbent(build_graph(4, []), 0) == 0
+    # a pool of every vertex is the default; a minimal cover's own greedy
+    # ordering is feasible and costs at least that cover's optimum
+    for g, k in ((claw_chain6(), 7), (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8)):
+        assert greedy_incumbent(g, k, range(g.n)) == greedy_incumbent(g, k)
+        for cover in enumerate_minimal_covers(g, k):
+            assert greedy_incumbent(g, k, cover) >= _prefix_dp(g, k, [cover], None)[0], cover
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -419,8 +425,8 @@ def test_claw_chains_match_subset_dp_at_large_k():
 def test_all_subsets_takes_the_dp():
     same_as_subset_dp(Instance(all_subsets(4), w=0, k=8))
 
-    # past the subset DP's reach: without the savings floor the DP at s = 5
-    # evaluates 6.4 million states
+    # past the subset DP's reach: the cap and its saving bound keep the DP at
+    # s = 5 to 31 states; without them its first 8 of 10 layers hold 3.7 million
     for s in (5, 6):
         g, k = all_subsets(s), 2 * s
         start = time.perf_counter()
@@ -458,9 +464,9 @@ def test_twin_heavy_graphs_match_subset_dp():
 
 
 def test_optimal_savings_never_grow():
-    """The rule behind the savings floor: along every optimal ordering with
-    max charge <= k, the edges each vertex newly covers never grow up to the
-    first full cover."""
+    """The rule behind the cap's saving bound: along every optimal ordering
+    with max charge <= k, the edges each vertex newly covers never grow up to
+    the first full cover."""
     checked = 0
     for n in range(1, 8):
         for i, p in enumerate((0.15, 0.3, 0.45, 0.6, 0.8)):
@@ -493,7 +499,7 @@ def test_optimal_savings_never_grow():
 def cover_optimum(g, cover, k):
     """Least chain cost over the orderings that cover every edge after at
     most k - |S| vertices outside the cover S: a plain DP over the set of
-    placed vertices, without twin classes or the savings floor."""
+    placed vertices, without twin classes or the cap."""
     inside = sum(1 << v for v in cover)
     adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
     memo = {}
@@ -514,9 +520,10 @@ def cover_optimum(g, cover, k):
 
 
 def test_cover_optimum_matches_plain_dp():
-    """Every cover's optimum, savings floor included, is the plain DP's.  On
-    the first graph at k = 9, a floor of max(top, 1) that ignores the spare
-    placements would cut the optimum of the cover (0, 1, 3, 5, 9, 10)."""
+    """Every cover's optimum under its own cap and saving bound is the plain
+    DP's.  On the first graph at k = 9 the cover (0, 1, 3, 5, 9, 10) costs
+    28 placed alone, and its optimum, 27, places the outside vertices 2, 4
+    and 6 instead of most of it."""
     first = build_graph(11, [(0, 4), (0, 5), (0, 6), (0, 9), (1, 2), (1, 4), (1, 6),
                              (2, 10), (3, 8), (4, 5), (6, 9)])
     cases = [(first, [9])]
@@ -565,9 +572,10 @@ N19 = build_graph(19, [(0, 3), (0, 4), (0, 6), (0, 9), (0, 10), (0, 12), (0, 14)
 
 
 def test_large_covers_at_large_k_match_subset_dp():
-    """The n = 19 graph has large minimal covers, so at large k the savings
-    floor barely cuts: without the incumbent cap its DP took 911,407 states
-    at k = 16 and 2.3 million at k = 18."""
+    """The n = 19 graph has large minimal covers and a large spare at large
+    k, so only the cap and its saving bound keep the states few: without the
+    incumbent cap its DP took 911,407 states at k = 16 and 2.3 million at
+    k = 18."""
     for k in range(14, 20):
         inst = Instance(N19, w=k * N19.m, k=k)
         same_as_subset_dp(inst)
@@ -577,14 +585,19 @@ def test_large_covers_at_large_k_match_subset_dp():
 def test_saving_bound_keeps_the_states_few():
     """Each move is cut by the charge its own saving leaves to pay; a bound
     that let every later vertex save the max degree took 120, 767, 511, 530
-    and 44 states on these rows, at the same costs."""
+    and 44 states on the first five rows, at the same costs."""
     for g, k, cost, states in ((claw_chain6(), 7, 60, 64),
                                (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 512),
                                (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 306),
                                (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8, 48, 250),
-                               (N19, 16, 80, 37)):
+                               (N19, 16, 80, 37),
+                               (all_subsets(5), 10, 240, 31),
+                               (all_subsets(6), 12, 672, 63),
+                               (N19, 14, 80, 27),
+                               (N19, 18, 80, 40),
+                               (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12, 145, 3_368)):
         r = branch_solve(Instance(g, w=0, k=k))
-        assert r.best_cost == cost and r.dp_states <= states, (g, k, r.best_cost, r.dp_states)
+        assert (r.best_cost, r.dp_states) == (cost, states), (g, k, r.best_cost, r.dp_states)
 
 
 def test_matches_subset_dp_on_a_20_vertex_kernel():

@@ -182,6 +182,8 @@ def test_dp_empty_graph():
     assert subset_dp_optimal(g, 0) == (0, Ordering.from_sequence(()))
     assert subset_dp_optimal(build_graph(3, []), -1) is None  # no cover of -1 vertices
     assert brute_force_optimal(build_graph(3, []), -1) is None
+    assert regular_solve(build_graph(3, []), -1) is None
+    assert regular_solve(build_graph(30, []), -1) is None
 
 
 # ------------------------------------------------------------ cross checks
