@@ -19,7 +19,6 @@ from .graph import (
     evaluate,
     is_feasible,
     is_vertex_cover,
-    sorted_by_degree,
 )
 from .instance_io import (
     ParseError,
@@ -84,7 +83,6 @@ __all__ = [
     "evaluate",
     "is_feasible",
     "is_vertex_cover",
-    "sorted_by_degree",
     "ParseError",
     "parse_instance",
     "parse_ordering",

@@ -101,10 +101,6 @@ class BoundReport:
     bound: Optional[float]
     holds: Optional[bool]
 
-    @property
-    def in_domain(self) -> bool:
-        return self.bound is not None
-
 
 def bound_report(g: Graph) -> BoundReport:
     tau = vc_number(g)
@@ -205,10 +201,10 @@ def structural_audit(
             tau = vc_number(g)
         kp = report.max_cost
         if kp > 0 and kp - tau >= 1:
-            ok = report.r_at(kp - tau) >= 2
+            window = report.r[kp - tau - 1]
             replacement = CheckResult(
-                passed=ok,
-                detail="" if ok else f"r({kp}-{tau}) = {report.r_at(kp - tau)} < 2",
+                passed=window >= 2,
+                detail="" if window >= 2 else f"r({kp}-{tau}) = {window} < 2",
             )
         else:
             replacement = CheckResult(passed=True, detail="window empty")

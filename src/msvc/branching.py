@@ -43,10 +43,13 @@ the other vertices following in ascending id.  It is the lexicographically
 smallest optimal sequence W: W's prefix to each state it passes has the
 least charge there (else a cheaper prefix with W's later moves would beat
 W) and is the smallest prefix at that charge (else swapping it in would
-give a smaller sequence at the same cost).  A complete state is never
-expanded, so no candidate is a prefix of another, and comparing prefixes
-orders the full sequences.  The greedy ordering also cross-checks the
-search: when its max charge is at most k, the DP must find one too.
+give a smaller sequence at the same cost).  So a layer compares whole
+(charge, prefix) pairs: keeping the first prefix to arrive at the least
+charge is not enough, as gnp(8, .6) seed 134 at k = 6 shows (pinned in the
+tests).  A complete state is never expanded, so no candidate is a prefix
+of another, and comparing prefixes orders the full sequences.  The greedy
+ordering also cross-checks the search: when its max charge is at most k,
+the DP must find one too.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None) -> 
     (default all vertices) with the most uncovered edges (ties by ascending
     id), or None when its max charge exceeds k, known as soon as a (k+1)-th
     vertex still covers an edge.  On a cover it places the cover alone."""
+    if k < 0:
+        return None
     pool = range(g.n) if pool is None else pool
     remaining = list(g.degrees)
     placed = [False] * g.n

@@ -100,9 +100,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.deg.tolist())
 
-    def degree(self, v: int) -> int:
-        return int(self.deg[v])
-
 
 def _first_bad_edge(n: int, pairs: Iterable[tuple[int, int]]) -> GraphError:
     """The error for the first out-of-range or self-loop edge of pairs."""
@@ -212,18 +209,6 @@ class Ordering:
         return Ordering(ids=ids.tobytes())
 
     @staticmethod
-    def from_positions(position: Sequence[int]) -> "Ordering":
-        n = len(position)
-        sequence = [-1] * n
-        for v, p in enumerate(position):
-            if not 1 <= p <= n:
-                raise OrderingError(f"position {p} of vertex {v} is outside 1..{n}")
-            if sequence[p - 1] != -1:
-                raise OrderingError(f"position {p} of vertex {v} is already taken")
-            sequence[p - 1] = v
-        return Ordering.from_prefix(sequence, n)
-
-    @staticmethod
     def identity(n: int) -> "Ordering":
         return Ordering(ids=np.arange(n, dtype=_id_dtype(n)).tobytes())
 
@@ -247,12 +232,6 @@ class Ordering:
         position[self.array] = np.arange(1, self.n + 1)
         return tuple(position.tolist())
 
-    def pos(self, v: int) -> int:
-        return self.sequence.index(v) + 1
-
-    def at(self, position: int) -> int:
-        return int(self.array[position - 1])
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -266,10 +245,6 @@ class CostReport:
     r: tuple[int, ...]
     total: int
     max_cost: int
-
-    def r_at(self, i: int) -> int:
-        """Number of edges charged exactly i (1-indexed position)."""
-        return self.r[i - 1]
 
 
 @dataclass(frozen=True)
@@ -291,11 +266,6 @@ class Instance:
             raise ValueError(f"budget w must be nonnegative, got {self.w}")
         if self.k > self.graph.n:
             object.__setattr__(self, "k", self.graph.n)
-
-
-def sorted_by_degree(g: Graph) -> list[int]:
-    """Vertices by non-increasing degree, ties broken by ascending id."""
-    return np.argsort(-g.deg, kind="stable").tolist()
 
 
 def evaluate(g: Graph, ordering: Ordering) -> CostReport:

@@ -43,7 +43,6 @@ from .graph import (
     _readonly,
     build_graph,
     evaluate,
-    sorted_by_degree,
 )
 
 
@@ -229,11 +228,11 @@ def rule2_apply(inst: Instance, t: int) -> tuple[Instance, Rule2Record]:
     if not 0 < t < g.n:
         raise ValueError(f"cut index t={t} is outside 1..{g.n - 1}")
     work = _WorkGraph(g)
-    record = _apply_rule2(work, sorted_by_degree(g), t, k, error=ValueError)
+    record = _apply_rule2(work, np.argsort(-g.deg, kind="stable"), t, k, error=ValueError)
     new_w = inst.w - record.w_delta
     if new_w < 0:
         raise ValueError("budget underflow; instance is a trivial no")
-    graph, _ = _compact(work, None, None)
+    graph, _ = _compact(work, None)
     return Instance(graph=graph, w=new_w, k=k), record
 
 
@@ -274,7 +273,7 @@ def rule4_apply(inst: Instance) -> tuple[Instance, Optional[Rule4Record]]:
     record = _build_rule4(work, high, iso)
     if record is None:
         return inst, None
-    graph, _ = _compact(work, iso, record)
+    graph, _ = _compact(work, record)
     return Instance(graph=graph, w=inst.w, k=inst.k), record
 
 
@@ -300,7 +299,7 @@ def _build_rule4(work: _WorkGraph, high: np.ndarray, iso: np.ndarray) -> Optiona
     )
 
 
-def _compact(work: _WorkGraph, iso: Optional[np.ndarray], rule4: Optional[Rule4Record]):
+def _compact(work: _WorkGraph, rule4: Optional[Rule4Record]):
     """Drop the deleted vertices (I, when rule 4 applied), renumber the
     survivors densely (originals first in ascending id, then synthetics) and
     return (graph, vertex_map)."""
@@ -311,7 +310,7 @@ def _compact(work: _WorkGraph, iso: Optional[np.ndarray], rule4: Optional[Rule4R
     keep = np.ones(g.n, dtype=bool)
     p = 0
     if rule4 is not None:
-        keep[iso] = False
+        keep[rule4.deleted_vertices] = False
         p = rule4.p
     survivors = np.flatnonzero(keep)
     new_id = np.cumsum(keep) - 1
@@ -363,7 +362,7 @@ def kernelize(inst: Instance) -> Union[TrivialNo, Kernel]:
     rule4 = _build_rule4(work, high, iso)
     if rule4 is not None:
         steps.append(rule4)
-    graph, vertex_map = _compact(work, iso, rule4)
+    graph, vertex_map = _compact(work, rule4)
     trace = KernelTrace(steps=tuple(steps), vertex_map=vertex_map)
     return Kernel(instance=Instance(graph=graph, w=w, k=k), trace=trace)
 

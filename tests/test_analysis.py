@@ -120,7 +120,7 @@ def test_bound_report_out_of_domain_graph():
     g = build_graph(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2)])
     assert vc_number(g) == 2 and g.m == 5
     rep = bound_report(g)
-    assert rep.bound is None and rep.holds is None and not rep.in_domain
+    assert rep.bound is None and rep.holds is None
 
 
 # ------------------------------------------------------ min-max over optima

@@ -82,7 +82,7 @@ def test_score_private_leaves_stay_below_shared():
     placement = place_centers(cc)
     assert score(cc, placement, 1, 2) == 1  # leaf of the center at position 2
     assert score(cc, placement, 1, 17) == 6  # leaf of the center at position 7
-    leaf_scores = [score(cc, placement, 1, u) for u in range(cc.n) if cc.degree(u) == 1]
+    leaf_scores = [score(cc, placement, 1, u) for u in range(cc.n) if cc.deg[u] == 1]
     assert max(leaf_scores) == 6  # strictly below the shared leaf's 21
 
 
@@ -292,6 +292,7 @@ def test_greedy_incumbent():
     assert greedy_incumbent(claw_chain6(), 7) == 60  # already optimal
     assert greedy_incumbent(triangle(), 1) is None  # its max charge is 2
     assert greedy_incumbent(build_graph(4, []), 0) == 0
+    assert greedy_incumbent(build_graph(4, []), -1) is None  # like the oracles
     # a pool of every vertex is the default; a minimal cover's own greedy
     # ordering is feasible and costs at least that cover's optimum
     for g, k in ((claw_chain6(), 7), (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8)):
@@ -554,6 +555,17 @@ def test_matches_subset_dp_where_the_cap_cuts():
                  (generate(GeneratorSpec("claw_chain", (2,))), 7),
                  (generate(GeneratorSpec("gnp", (9, 0.45), seed=31)), 7)):
         same_as_subset_dp(Instance(g, w=k * g.m, k=k))
+
+
+def test_prefix_dp_keeps_the_smallest_prefix_on_a_charge_tie():
+    """Keeping the first prefix to reach a state at its least charge is not
+    enough: here a later, smaller prefix ties it, and only the comparison
+    of whole (charge, prefix) states gives the subset DP's witness."""
+    g = generate(GeneratorSpec("gnp", (8, 0.6), seed=134))
+    inst = Instance(g, w=6 * g.m, k=6)
+    r = branch_solve(inst)
+    assert (g.m, r.best_cost, r.best_ordering.sequence) == (20, 53, (0, 4, 5, 7, 1, 3, 2, 6))
+    same_as_subset_dp(inst)
 
 
 def test_covers_share_states():

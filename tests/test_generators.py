@@ -36,13 +36,13 @@ def test_cycle():
 def test_star_is_k15():
     g = generate(GeneratorSpec("star", (5,)))
     assert g.n == 6 and g.m == 5
-    assert g.degree(0) == 5 and all(g.degree(v) == 1 for v in range(1, 6))
+    assert g.degrees == (5, 1, 1, 1, 1, 1)
 
 
 def test_double_star_shape():
     g = generate(GeneratorSpec("double_star", (4, 4)))
     assert g.n == 10 and g.m == 9
-    assert g.degree(0) == 5 and g.degree(1) == 5
+    assert g.degrees[:2] == (5, 5)
 
 
 def test_claw_chain_is_the_19_vertex_instance():

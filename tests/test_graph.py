@@ -16,10 +16,9 @@ from msvc import (
     evaluate,
     is_feasible,
     is_vertex_cover,
-    sorted_by_degree,
 )
 
-from conftest import p3, triangle, star
+from conftest import p3, triangle
 
 
 def test_build_graph_p3():
@@ -47,20 +46,6 @@ def test_build_graph_rejects_out_of_range():
 def test_build_graph_isolated():
     g = build_graph(1, [])
     assert g.n == 1 and g.m == 0
-
-
-def test_sorted_by_degree_star():
-    g = star(5)
-    assert sorted_by_degree(g) == [0, 1, 2, 3, 4, 5]
-
-
-def test_sorted_by_degree_p3():
-    assert sorted_by_degree(p3()) == [1, 0, 2]
-
-
-def test_sorted_by_degree_edgeless_ties():
-    g = build_graph(3, [])
-    assert sorted_by_degree(g) == [0, 1, 2]
 
 
 def test_evaluate_p3_middle_first():
@@ -97,8 +82,6 @@ def test_ordering_error_names_only_the_first_bad_id():
     assert "vertex id 123 at position 70001" in message and len(message) < 200
     with pytest.raises(OrderingError, match="vertex id 5 at position 2 is outside 0..2"):
         Ordering.from_sequence([0, 5, 1])
-    with pytest.raises(OrderingError, match="position 1 of vertex 1 is already taken"):
-        Ordering.from_positions([1, 1, 2])
 
 
 def test_ordering_from_prefix():
@@ -124,9 +107,7 @@ def test_ordering_from_prefix():
 def test_ordering_position_is_inverse_of_sequence():
     o = Ordering.from_sequence([2, 0, 3, 1])
     assert o.position == (2, 4, 1, 3)
-    assert [o.pos(v) for v in range(4)] == [2, 4, 1, 3]
-    assert [o.at(p) for p in range(1, 5)] == [2, 0, 3, 1]
-    assert Ordering.from_positions(o.position) == o and o.n == 4
+    assert o.n == 4
     assert Ordering.identity(3).position == (1, 2, 3)
     assert Ordering.identity(0).position == ()
 
@@ -157,7 +138,6 @@ def test_packed_ordering_agrees_with_tuple_form(n):
         for i, v in enumerate(seq, 1):
             position[v] = i
         assert o.position == tuple(position)
-        assert Ordering.from_positions(position) == o
         assert o.n == n and list(o.array) == list(seq)
     for a, sa in zip(orderings, seqs):
         for b, sb in zip(orderings, seqs):
@@ -217,10 +197,10 @@ def test_cost_report_invariants(pair):
     else:
         assert rep.max_cost == 0
     # independent per-position recount: edges first covered at position i
-    for i in range(1, g.n + 1):
-        v = ordering.at(i)
-        count = sum(1 for x in g.adj[v] if ordering.pos(x) > i)
-        assert rep.r_at(i) == count
+    pos = {v: i for i, v in enumerate(ordering.sequence, 1)}
+    for i, v in enumerate(ordering.sequence, 1):
+        count = sum(1 for x in g.adj[v] if pos[x] > i)
+        assert rep.r[i - 1] == count
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,11 +210,9 @@ def test_evaluate_relabel_invariance(pair, rnd):
     relabel = list(range(g.n))
     rnd.shuffle(relabel)
     g2 = build_graph(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
-    pos2 = [0] * g.n
-    for v in range(g.n):
-        pos2[relabel[v]] = ordering.pos(v)
+    seq2 = [relabel[v] for v in ordering.sequence]
     rep1 = evaluate(g, ordering)
-    rep2 = evaluate(g2, Ordering.from_positions(pos2))
+    rep2 = evaluate(g2, Ordering.from_sequence(seq2))
     assert rep1 == rep2
 
 
@@ -244,7 +222,7 @@ def test_cover_prefix_bounds_max_cost(pair):
     g, ordering = pair
     rep = evaluate(g, ordering)
     for k in range(g.n + 1):
-        prefix = {ordering.at(i) for i in range(1, k + 1)}
+        prefix = set(ordering.sequence[:k])
         if is_vertex_cover(g, prefix):
             assert rep.max_cost <= k
 

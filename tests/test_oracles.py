@@ -145,8 +145,8 @@ def test_dp_table_accounting():
     cost, ordering = subset_dp_optimal(g, k)
     table = build_dp_table(g, k)
     prefix = 0
-    for i in range(1, k + 1):
-        prefix |= 1 << ordering.at(i)
+    for v in ordering.sequence[:k]:
+        prefix |= 1 << v
     assert table.value[prefix] == cost
     assert evaluate(g, ordering).total == cost
 
@@ -260,8 +260,8 @@ def test_dp_matches_brute(g, k):
         table = build_dp_table(g, k)
         rep = evaluate(g, d[1])
         prefix = 0
-        for i in range(1, rep.max_cost + 1):
-            prefix |= 1 << d[1].at(i)
+        for v in d[1].sequence[: rep.max_cost]:
+            prefix |= 1 << v
         assert table.value[prefix] == d[0]
 
 
