@@ -123,7 +123,6 @@ def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None) -> 
         return None
     pool = range(g.n) if pool is None else pool
     remaining = list(g.degrees)
-    placed = [False] * g.n
     total = steps = 0
     while True:
         v = max(pool, key=lambda u: (remaining[u], -u), default=None)
@@ -133,10 +132,9 @@ def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None) -> 
         if steps > k:
             return None
         total += steps * remaining[v]
-        placed[v] = True
         remaining[v] = 0
         for x in g.adj[v]:
-            if not placed[x]:
+            if remaining[x]:  # unplaced: its edge to v is still uncovered
                 remaining[x] -= 1
 
 

@@ -242,24 +242,21 @@ def subset_dp_optimal(g: Graph, k: int):
 def regular_solve(g: Graph, k: int):
     """Optimum for d-regular graphs.
 
-    Degree 0 and 1 are solved directly; degree >= 3 with n > 2k is infeasible
-    without any search (a cover needs at least n/2 vertices); everything else
-    is delegated to the subset DP.
+    Degree 0 is solved directly.  For degree d >= 1 a cover needs at least
+    m / d = n / 2 vertices, so n > 2k is infeasible without any search; a
+    matching (d = 1) is then solved directly, and everything else is
+    delegated to the subset DP.
     """
     n = g.n
     degs = set(g.degrees)
     if len(degs) > 1:
         raise ValueError("regular_solve requires a regular graph")
     d = degs.pop() if degs else 0
-    k_eff = min(k, n)
     if d == 0:
         return None if k < 0 else (0, Ordering.identity(n))
-    if d == 1:
-        m = g.m
-        if k_eff < m:
-            return None
-        # a matching: the lower endpoints of its edges, ascending, cover it
-        return m * (m + 1) // 2, Ordering.from_prefix(g.eu, n)
-    if d >= 3 and n > 2 * k_eff:
+    if n > 2 * min(k, n):
         return None
+    if d == 1:
+        # a matching: the lower endpoints of its edges, ascending, cover it
+        return g.m * (g.m + 1) // 2, Ordering.from_prefix(g.eu, n)
     return subset_dp_optimal(g, k)

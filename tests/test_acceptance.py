@@ -322,6 +322,28 @@ def test_criterion_9_regular_fast_path(monkeypatch):
     _report(9, True, "Petersen k=4 rejected with zero DP calls; K4 k=3 optimum 10")
 
 
+def test_regular_fast_path_rejects_cycles_past_half(monkeypatch):
+    # a cover of a d-regular graph needs n / 2 vertices for every d >= 1,
+    # cycles included: cycle(9) at k = 4 is rejected without the DP
+    import msvc.oracles as oracles
+
+    calls = {"dp": 0}
+    real = oracles.subset_dp_optimal
+
+    def counting(*args, **kwargs):
+        calls["dp"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "subset_dp_optimal", counting)
+    assert oracles.regular_solve(generate(GeneratorSpec("cycle", (9,))), 4) is None
+    assert calls["dp"] == 0
+    monkeypatch.undo()
+
+    c8 = generate(GeneratorSpec("cycle", (8,)))
+    want = subset_dp_optimal(c8, 4)
+    assert want is not None and regular_solve(c8, 4) == want
+
+
 def test_criterion_10_performance_smoke():
     t0 = time.perf_counter()
     big = generate(GeneratorSpec("star", (1_000_000,)))

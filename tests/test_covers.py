@@ -1,10 +1,19 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvc import build_graph, enumerate_minimal_covers, is_minimal_cover, is_vertex_cover
+from msvc import (
+    GeneratorSpec,
+    build_graph,
+    enumerate_minimal_covers,
+    generate,
+    is_minimal_cover,
+    is_vertex_cover,
+    vc_number,
+)
 
 from conftest import p3, triangle
 
@@ -85,3 +94,30 @@ def test_matches_subset_bruteforce(g, k):
     for c in covers:
         assert is_minimal_cover(g, c)
         assert len(c) <= k
+
+
+def covers_corpus():
+    """44 graphs up to n = 14, past the brute scan above."""
+    for n in range(6, 15):
+        for p in (0.3, 0.5):
+            for seed in (1, 2):
+                yield generate(GeneratorSpec("gnp", (n, p), seed=seed))
+    for c in range(1, 7):
+        yield generate(GeneratorSpec("claw_chain", (c,)))
+    for seed in (1, 2):
+        yield generate(GeneratorSpec("random_regular", (12, 3), seed=seed))
+
+
+# sha256 of every cover list of the corpus for k <= min(n, 12) (2,516
+# covers) and of each graph's vertex cover number; it pins the order of the
+# lists as well as their sets
+COVERS_DIGEST = "0fb5cf1287578b5264aa82f82abc76cd1d6dea81673f3c991ad8fa2dcd5e4e77"
+
+
+def test_covers_pinned():
+    h = hashlib.sha256()
+    for g in covers_corpus():
+        for k in range(min(g.n, 12) + 1):
+            h.update(repr((g.n, g.edges, k, enumerate_minimal_covers(g, k))).encode())
+        h.update(repr(vc_number(g)).encode())
+    assert h.hexdigest() == COVERS_DIGEST
