@@ -10,15 +10,20 @@ Ordering files hold n whitespace-separated 1-indexed vertex ids in position
 order.  Writers emit canonical text (sorted edges, no comments) so that
 write -> parse -> write round-trips bit-exactly.
 
-Both directions work in bulk on numpy arrays.  The parser classifies every
-byte with one translation table, checks the line structure on the positions
-of line breaks, 'e' records and numbers, and reads all endpoints with one
-``np.fromstring``; the line-by-line reader runs only on text that check
+Both directions work in bulk on numpy arrays.  The parser reads the text in
+line-aligned chunks of about 1 MB: it classifies every byte of a chunk with
+one translation table, checks the line structure on the positions of line
+breaks, 'e' records and numbers, and decodes the chunk's endpoints with one
+``np.fromstring`` into a single int64 array of 2m values, allocated once
+the header's m is known to fit the text, so beyond that array its memory
+is O(chunk).  The line-by-line reader runs only on text that check
 rejects, to name the offending line.  The writers render the edge and
 vertex-id arrays digit by digit.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -62,9 +67,10 @@ def write_instance(inst: Instance) -> str:
 # Byte classes of the bulk parser: in-line whitespace, line breaks (those
 # of str.splitlines), digits, 'e', and everything else.
 _SPACE, _BREAK, _DIGIT, _E, _OTHER = range(5)
+_BREAKS = b"\n\r\x0b\x0c\x1c\x1d\x1e"
 _CLASS = bytes(
     _SPACE if c in b" \t\x1f"
-    else _BREAK if c in b"\n\r\x0b\x0c\x1c\x1d\x1e"
+    else _BREAK if c in _BREAKS
     else _DIGIT if c in b"0123456789"
     else _E if c == ord("e")
     else _OTHER
@@ -72,16 +78,23 @@ _CLASS = bytes(
 )
 # keeps digits and turns every other byte into a space
 _DIGITS = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
+# The bulk parser reads the text in chunks of at least this many bytes,
+# each ending just after a line break (or at the end of the text), so its
+# transient arrays follow the chunk; only the endpoint array follows m.
+_CHUNK = 1 << 20
+_BREAK_AT = re.compile(f"[{_BREAKS.decode()}]")
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance text.
 
-    The whole text is checked and decoded in bulk with numpy; only text the
-    bulk check rejects goes through the line-by-line reader, which names the
-    offending line (or reads the rare forms the bulk check leaves to it,
-    such as non-ASCII whitespace or a '+' sign).  A self-loop or a duplicate
-    edge is named with the ids as the file writes them."""
+    The text is checked and decoded in bulk with numpy, one line-aligned
+    chunk at a time, into one preallocated endpoint array, so the parse holds
+    one chunk's arrays beyond that array and what build_graph makes of it.
+    Only text the bulk check rejects goes through the line-by-line reader,
+    which names the offending line (or reads the rare forms the bulk check
+    leaves to it, such as non-ASCII whitespace or a '+' sign).  A self-loop
+    or a duplicate edge is named with the ids as the file writes them."""
     parsed = _parse_bulk(text)
     if parsed is None:
         parsed = _parse_lines(text)
@@ -113,58 +126,72 @@ def _parse_bulk(text: str):
     endpoints in 1..n, in that order."""
     if "\x85" in text or "\u2028" in text or "\u2029" in text:
         return None  # the line breaks of str.splitlines beyond ASCII
-    # any other non-ASCII character becomes '?', which only a comment line
-    # may hold
-    data = text.encode("ascii", errors="replace")
-    cls = np.frombuffer(bytearray(data.translate(_CLASS)), dtype=np.uint8)
-    breaks = np.flatnonzero(cls == _BREAK)
-    # line i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
-    bounds = np.concatenate(([-1], breaks, [len(data)]))
-    blanked = []
-    # every line that is not an edge line holds a byte of class _OTHER
-    header = None
-    for line in np.unique(np.searchsorted(breaks, np.flatnonzero(cls == _OTHER))).tolist():
-        start, end = int(bounds[line]) + 1, int(bounds[line + 1])
-        parts = data[start:end].decode().split()
-        if parts[0] == "p" and header is None and len(parts) == 6 and parts[1] == "msvc":
-            if not all(x.isdigit() for x in parts[2:]):
+    header, out, filled, start = None, None, 0, 0
+    while start < len(text):
+        found = _BREAK_AT.search(text, start + _CHUNK - 1)
+        end = found.end() if found else len(text)
+        # a leading break stands for the one before the chunk; a non-ASCII
+        # character becomes '?', which only a comment line may hold
+        data = b"\n" + text[start:end].encode("ascii", errors="replace")
+        start = end
+        cls = np.frombuffer(bytearray(data.translate(_CLASS)), dtype=np.uint8)
+        breaks = np.flatnonzero(cls == _BREAK)
+        # line i spans bytes bounds[i] + 1 .. bounds[i + 1] - 1
+        bounds = np.concatenate(([-1], breaks, [len(data)]))
+        blanked = []
+        # every line that is not an edge line holds a byte of class _OTHER
+        header_end = 0
+        for line in np.unique(np.searchsorted(breaks, np.flatnonzero(cls == _OTHER))).tolist():
+            a, b = int(bounds[line]) + 1, int(bounds[line + 1])
+            parts = data[a:b].decode().split()
+            if parts[0] == "p" and header is None and len(parts) == 6 and parts[1] == "msvc":
+                if not all(x.isdigit() for x in parts[2:]):
+                    return None
+                header_end, header = b, [int(x) for x in parts[2:]]
+                # each edge line takes at least 6 bytes, the last one 5
+                if 6 * header[1] > len(text) + 1:
+                    return None
+                out = np.empty(2 * header[1], dtype=np.int64)
+            elif not parts[0].startswith("c"):
                 return None
-            header = (end, [int(x) for x in parts[2:]])
-        elif not parts[0].startswith("c"):
+            cls[a:b] = _SPACE
+            blanked.append((a, b))
+        is_digit = cls == _DIGIT
+        numbers = np.flatnonzero(is_digit[1:] & ~is_digit[:-1]) + 1
+        es = np.flatnonzero(cls == _E)
+        if numbers.size != 2 * es.size:
             return None
-        cls[start:end] = _SPACE
-        blanked.append((start, end))
-    if header is None:
-        return None
-    header_end, (n, m, k, w) = header
-    is_digit = cls == _DIGIT
-    numbers = np.flatnonzero(is_digit[1:] & ~is_digit[:-1]) + 1
-    es = np.flatnonzero(cls == _E)
-    if es.size != m or numbers.size != 2 * m or is_digit[0]:
-        return None
-    if not m:
-        return n, np.empty((0, 2), dtype=np.int64), k, w
-    # each 'e' stands alone after a space or break and is followed on its
-    # line by exactly two numbers; the next 'e' starts a later line
-    line_end = bounds[np.searchsorted(breaks, es) + 1]
-    if not (
-        es[0] > header_end
-        and es[-1] + 1 < len(data)
-        and (cls[es - 1] <= _BREAK).all()
-        and (cls[es + 1] == _SPACE).all()
-        and (es < numbers[0::2]).all()
-        and (numbers[1::2] < line_end).all()
-        and (line_end[:-1] < es[1:]).all()
-    ):
-        return None
+        if not es.size:
+            continue
+        # each 'e' stands alone after a space or break and is followed on its
+        # line by exactly two numbers; the next 'e' starts a later line
+        line_end = bounds[np.searchsorted(breaks, es) + 1]
+        if not (
+            out is not None
+            and filled + numbers.size <= out.size
+            and es[0] > header_end
+            and es[-1] + 1 < len(data)
+            and (cls[es - 1] <= _BREAK).all()
+            and (cls[es + 1] == _SPACE).all()
+            and (es < numbers[0::2]).all()
+            and (numbers[1::2] < line_end).all()
+            and (line_end[:-1] < es[1:]).all()
+        ):
+            return None
+        digits = bytearray(data.translate(_DIGITS))
+        for a, b in blanked:
+            digits[a:b] = b" " * (b - a)
+        values = np.fromstring(bytes(digits), dtype=np.int64, sep=" ")
+        if values.size != numbers.size:
+            return None
+        out[filled : filled + values.size] = values
+        filled += values.size
     # an endpoint too large for int64 reads as its maximum, outside 1..n
-    digits = bytearray(data.translate(_DIGITS))
-    for start, end in blanked:
-        digits[start:end] = b" " * (end - start)
-    values = np.fromstring(bytes(digits), dtype=np.int64, sep=" ")
-    if values.size != 2 * m or values.min() < 1 or values.max() > n:
+    if header is None or filled != out.size or out.min(initial=1) < 1 or out.max(initial=0) > header[0]:
         return None
-    return n, values.reshape(m, 2) - 1, k, w
+    out -= 1
+    n, m, k, w = header
+    return n, out.reshape(m, 2), k, w
 
 
 def _parse_lines(text: str):

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +23,17 @@ from msvc import (
 from msvc import instance_io
 
 from conftest import p3
+
+
+@contextmanager
+def chunk_size(size):
+    """Run the bulk parser with chunks of at least size bytes."""
+    saved = instance_io._CHUNK
+    instance_io._CHUNK = size
+    try:
+        yield
+    finally:
+        instance_io._CHUNK = saved
 
 
 def test_write_instance_canonical():
@@ -170,18 +183,29 @@ PARSE_PINS = [
     ('p msvc 3 1 1 3\ne 1 2\nc note\u2028e 2 3\n', ('error', 'header declares m=1 edges, found 2')),
     ('p msvc 3 1 1 3\ne 1\xa02\n', ('ok', 3, ((0, 1),), 1, 3)),
     ('p msvc 3 1 1 3\n\xa0c note\ne 2 3\n', ('ok', 3, ((1, 2),), 1, 3)),
+    # an m the text cannot hold is left to the line reader
+    ('p msvc 3 99999999999 1 3\ne 1 2\n', ('error', 'header declares m=99999999999 edges, found 1')),
+    # an edge line before the header in the same chunk, numbers in a chunk
+    # without an 'e', and an 'e' as the last byte of the text
+    ('e 1 2\np msvc 2 1 1 3\n', ('error', 'line 1: edge before header')),
+    ('p msvc 3 1 1 3\n5 6\ne 1 2\n', ('error', "line 2: unknown record '5'")),
+    ('p msvc 3 2 1 3\n1 2 e 1 2 e', ('error', "line 2: unknown record '1'")),
 ]
 
 
 @pytest.mark.parametrize("text,expected", PARSE_PINS)
 def test_parse_instance_pinned(text, expected):
-    try:
-        inst = parse_instance(text)
-    except ParseError as exc:
-        got = ("error", str(exc))
-    else:
-        got = ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w)
-    assert got == expected
+    # at 1 and 5 bytes a chunk boundary falls after every line break, inside
+    # '\r\n', before a header alone in a later chunk and before an 'e'
+    for size in (instance_io._CHUNK, 1, 5):
+        with chunk_size(size):
+            try:
+                inst = parse_instance(text)
+            except ParseError as exc:
+                got = ("error", str(exc))
+            else:
+                got = ("ok", inst.graph.n, inst.graph.edges, inst.k, inst.w)
+        assert got == expected, size
 
 
 def test_only_non_ascii_comments_take_the_bulk_path():
@@ -245,20 +269,67 @@ def instance_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(instance_texts())
-def test_bulk_parse_matches_line_reader(text):
-    """Whatever the bulk decoder accepts, the line-by-line reader reads the
-    same way; whatever the reader rejects, the bulk decoder rejects too."""
-    bulk = instance_io._parse_bulk(text)
+@given(instance_texts(), st.sampled_from([1, 2, 5, 64, instance_io._CHUNK]))
+def test_bulk_parse_matches_line_reader(text, size):
+    """Whatever the bulk decoder accepts, at any chunk size, the line-by-line
+    reader reads the same way; whatever the reader rejects, the bulk decoder
+    rejects too."""
+    with chunk_size(size):
+        bulk = instance_io._parse_bulk(text)
     try:
-        n, edges, k, w = instance_io._parse_lines(text)
+        lines = instance_io._parse_lines(text)
     except ParseError:
         assert bulk is None
         return
     if bulk is not None:
-        assert (bulk[0], bulk[1].tolist(), bulk[2], bulk[3]) == (n, [list(e) for e in edges], k, w)
+        assert _as_lines(bulk) == lines
+
+
+def _as_lines(bulk):
+    """A bulk parse in the line reader's form."""
+    n, edges, k, w = bulk
+    return n, [tuple(e) for e in edges.tolist()], k, w
+
+
+def _bulk_matches_lines(text):
+    bulk = instance_io._parse_bulk(text)
+    assert bulk is not None
+    assert _as_lines(bulk) == instance_io._parse_lines(text)
 
 
 def test_written_text_takes_the_bulk_path():
     g = generate(GeneratorSpec("gnp", (30, 0.3), 5))
     assert instance_io._parse_bulk(write_instance(Instance(g, w=77, k=4))) is not None
+    # a canonical text of more than three default chunks
+    text = write_instance(Instance(generate(GeneratorSpec("star", (300_000,))), w=0, k=1))
+    assert len(text) > 3 * instance_io._CHUNK
+    _bulk_matches_lines(text)
+
+
+def test_spelled_text_takes_the_bulk_path_across_chunks():
+    # comment lines, blank lines and '\r\n' endings, with no line break at
+    # the end; the chunk sizes put a boundary before and inside each of them
+    g = generate(GeneratorSpec("gnp", (12, 0.4), 3))
+    edges = write_instance(Instance(g, w=40, k=3)).splitlines()
+    lines = ["c top", "", edges[0], "c after the header"]
+    for i, line in enumerate(edges[1:]):
+        lines += [line] + (["", "c note 1 2", "  "] if i % 3 == 0 else [])
+    text = "\r\n".join(lines)
+    for size in (1, 2, 3, 5, 7, 11, 16, 64):
+        with chunk_size(size):
+            _bulk_matches_lines(text)
+
+
+def test_parse_memory_stays_within_five_times_the_text():
+    # the 1M-edge star: the parse holds one chunk's arrays beyond the
+    # endpoint array it fills, and build_graph's arrays at most
+    m = 1_000_000
+    text = "".join([f"p msvc {m + 1} {m} 1 {m}\n"] + [f"e 1 {v}\n" for v in range(2, m + 2)])
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.graph.m == m
+    assert peak <= 5 * len(text), peak / len(text)
