@@ -108,7 +108,7 @@ class SolveResult:
                 "w_offset": self.w_offset}
 
     # Aliases the benchmark harness reads (perfbench/tracing.py); each stays
-    # until the harness renames its counters (ROADMAP item 1).
+    # until the harness renames its counters (ROADMAP item 2b).
     stats = property(lambda self: self)  # harness alias: the result itself
     mappings_tried = property(lambda self: self.dp_states)  # harness alias: dp_states
     branches = property(lambda self: 0)  # harness alias: the prefix DP makes no branches

@@ -137,7 +137,9 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     if lo.min(initial=0) < 0 or hi.max(initial=-1) >= n or (lo == hi).any():
         bad = (lo < 0) | (hi >= n) | (lo == hi)
         raise _first_bad_edge(n, pairs[bad.argmax(), None].tolist())
-    key = np.add(lo * n, hi, out=hi)  # in hi's buffer: one array fewer alive
+    lo *= n  # lo and hi are build_graph's own: the key takes hi's buffer, lo is freed
+    key = np.add(lo, hi, out=hi)
+    del lo
     key.sort()
     dup = key[1:] == key[:-1]
     if dup.any():

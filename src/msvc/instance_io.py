@@ -18,7 +18,8 @@ breaks, 'e' records and numbers, and decodes the chunk's endpoints with one
 the header's m is known to fit the text, so beyond that array its memory
 is O(chunk).  The line-by-line reader runs only on text that check
 rejects, to name the offending line.  The writers render the edge and
-vertex-id arrays digit by digit.
+vertex-id arrays digit by digit, one block of rows at a time, and join the
+blocks' text, so they hold about twice the text they return.
 """
 
 from __future__ import annotations
@@ -34,34 +35,40 @@ class ParseError(ValueError):
     """Malformed instance or ordering text."""
 
 
-def _decimal_rows(values: np.ndarray, seps: bytes, prefix: bytes = b"") -> np.ndarray:
-    """ASCII bytes of the rows of a 2-D array of nonnegative ints: each row
-    is ``prefix``, then number j in decimal followed by the byte seps[j]."""
-    rows, cols = values.shape
-    widths = [len(str(int(values[:, j].max(initial=0)))) for j in range(cols)]
-    out = np.empty((rows, len(prefix) + sum(widths) + cols), dtype=np.uint8)
-    keep = np.ones(out.shape, dtype=bool)
-    out[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    base = len(prefix)
-    for j, width in enumerate(widths):
-        digits = np.empty((width, rows), dtype=np.uint8)
-        rest = values[:, j].copy()
-        for d in range(width - 1, -1, -1):
-            np.remainder(rest, 10, out=digits[d], casting="unsafe")
-            rest //= 10
-        digits += ord("0")
-        out[:, base : base + width] = digits.T
-        out[:, base + width] = seps[j]
-        # numbers are padded to the column's width; drop the leading zeros
-        keep[:, base : base + width - 1] = np.logical_or.accumulate(digits[:-1] != ord("0")).T
-        base += width + 1
-    return out[keep]
+# The writers render this many rows at a time, so beyond the text they
+# return they hold one block's arrays.
+_ROWS = 1 << 16
+
+
+def _decimal_rows(columns, seps: bytes, prefix: bytes = b""):
+    """Yields the text of rows of 0-indexed ids, _ROWS rows at a time: row i
+    is ``prefix``, then columns[j][i] + 1 in decimal followed by the byte
+    seps[j], for each column j."""
+    for start in range(0, len(columns[0]), _ROWS):
+        values = [c[start : start + _ROWS] + np.int64(1) for c in columns]
+        rows, widths = values[0].size, [len(str(int(v.max()))) for v in values]
+        out = np.empty((rows, len(prefix) + sum(widths) + len(values)), dtype=np.uint8)
+        keep = np.ones(out.shape, dtype=bool)
+        out[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        base = len(prefix)
+        for j, (width, rest) in enumerate(zip(widths, values)):
+            digits = np.empty((width, rows), dtype=np.uint8)
+            for d in range(width - 1, -1, -1):
+                np.remainder(rest, 10, out=digits[d], casting="unsafe")
+                rest //= 10
+            digits += ord("0")
+            out[:, base : base + width] = digits.T
+            out[:, base + width] = seps[j]
+            # numbers are padded to the column's width; drop the leading zeros
+            keep[:, base : base + width - 1] = np.logical_or.accumulate(digits[:-1] != ord("0")).T
+            base += width + 1
+        yield out[keep].tobytes().decode("ascii")
 
 
 def write_instance(inst: Instance) -> str:
     g = inst.graph
-    body = _decimal_rows(np.column_stack((g.eu, g.ev)) + 1, b" \n", prefix=b"e ")
-    return f"p msvc {g.n} {g.m} {inst.k} {inst.w}\n" + body.tobytes().decode("ascii")
+    head = f"p msvc {g.n} {g.m} {inst.k} {inst.w}\n"
+    return "".join([head, *_decimal_rows((g.eu, g.ev), b" \n", prefix=b"e ")])
 
 
 # Byte classes of the bulk parser: in-line whitespace, line breaks (those
@@ -242,9 +249,9 @@ def write_ordering(ordering: Ordering) -> str:
     n = ordering.n
     if not n:
         return "\n"
-    text = _decimal_rows(ordering.array[:, None] + np.int64(1), b" ")
-    text[-1] = ord("\n")
-    return text.tobytes().decode("ascii")
+    blocks = list(_decimal_rows((ordering.array,), b" "))
+    blocks[-1] = blocks[-1][:-1] + "\n"
+    return "".join(blocks)
 
 
 def parse_ordering(text: str, n: int) -> Ordering:

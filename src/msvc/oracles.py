@@ -7,7 +7,8 @@ single charge is at most k, together with the lexicographically smallest
 witness sequence, or None when no vertex cover of size <= k exists.
 
 The subset DP sums the uncovered edges of each prefix (see ``DpTable``) over
-the vertex sets of at most k vertices only, built one size at a time.
+the vertex sets of at most k vertices only, built one size at a time from
+graph-independent layers of masks, the small ones cached (see ``_layer``).
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations
-from math import factorial, inf
+from math import comb, factorial, inf
 
 import numpy as np
 
-from .graph import Graph, InvariantError, Ordering
+from .graph import Graph, InvariantError, Ordering, _readonly
 
 BRUTE_FORCE_GUARD = 10
 SUBSET_DP_GUARD = 24
+_CACHED_DROPS = 1 << 13  # the subset DP caches its layers up to this many drops, see _layer
 
 _TAIL = 8  # orderings of the last min(n, _TAIL) slots come from one cached table
 _FULL = np.uint8(255)  # above any tail sum: masks a column out of a uint8 minimum
@@ -47,7 +49,8 @@ class DpTable:
     of more than k vertices hold ``DP_UNFILLED``, the int16 maximum, above any
     filled value: m * (n + 1) <= 276 * 25 under the n = 24 guard.  ``covers``
     (int64): the vertex covers of at most k vertices at the least value among
-    them, by size, then ascending.
+    them, by size, then ascending.  A layer's masks, parents and drops are
+    cached when s * comb(n, s) <= _CACHED_DROPS there and below: 0.96 MB to n = 18.
     """
 
     value: np.ndarray
@@ -132,20 +135,31 @@ def brute_force_profile(g: Graph) -> list:
 
 def _adj_masks(g: Graph) -> np.ndarray:
     masks = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    np.bitwise_or.at(masks, np.concatenate((g.eu, g.ev)), 1 << np.concatenate((g.ev, g.eu)))
     return masks
 
 
-def _next_layer(layer: np.ndarray, unc: np.ndarray, adj: np.ndarray):
-    """The masks of one vertex more than the ascending ``layer``, ascending,
-    and their uncovered-edge counts: each once, as T + v for T below 1 << v."""
-    bits = np.left_shift(1, np.arange(adj.size, dtype=np.int64))
-    cuts = np.searchsorted(layer, bits)  # layer[:cuts[v]] lies below 1 << v
+def _next_layer(layer: np.ndarray, n: int):
+    """(masks, rows, cuts): the ascending masks of one vertex more than the
+    ascending ``layer``, each once as layer[row] + v, cuts[v] rows below 1 << v."""
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    cuts = np.searchsorted(layer, bits)
     rows = np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)
-    below = layer[rows]
-    return below | np.repeat(bits, cuts), unc[rows] - np.bitwise_count(np.repeat(adj, cuts) & ~below)
+    return layer[rows] | np.repeat(bits, cuts), rows, cuts
+
+
+@lru_cache(maxsize=None)
+def _layer(n: int, s: int):
+    """Read-only ``_next_layer`` output (masks, rows, cuts) for s of n vertices
+    and the (s, L) masks less one vertex; None past _CACHED_DROPS here or below."""
+    if not s:
+        return np.zeros(1, dtype=np.int64), None, None, np.zeros((0, 1), dtype=np.int64)
+    if s * comb(n, s) > _CACHED_DROPS or (below := _layer(n, s - 1)) is None:
+        return None
+    masks, rows, cuts = _next_layer(below[0], n)
+    # T + v less one of its vertices: T less one, plus v, or T itself
+    drops = np.vstack((below[3][:, rows] | (masks ^ below[0][rows]), below[0][rows]))
+    return tuple(_readonly(a) for a in (masks, rows, cuts, drops))
 
 
 def _drop_each(masks: np.ndarray, s: int):
@@ -181,8 +195,9 @@ def build_dp_table(g: Graph, k: int) -> DpTable:
     opt, covers = DP_UNFILLED, [layer[:0]]  # the least value of a cover so far, and its covers
     for s in range(min(k, n) + 1):
         if s:
-            layer, unc = _next_layer(layer, unc, adj)
-            value[layer] = _least(value, layer, s) + unc
+            layer, rows, cuts, drops = _layer(n, s) or (*_next_layer(layer, n), None)
+            unc = unc[rows] - np.bitwise_count(np.repeat(adj, cuts) & ~layer)
+            value[layer] = (_least(value, layer, s) if drops is None else value[drops].min(0)) + unc
         found = layer[unc == 0]
         if (low := int(value[found].min(initial=DP_UNFILLED))) < opt:
             opt, covers = low, []
@@ -220,11 +235,16 @@ def subset_dp_optimal(g: Graph, k: int):
     sizes = np.bitwise_count(best)
     tight, masks = [], np.zeros(0, dtype=np.int64)
     for s in range(int(sizes.max(initial=0)), 0, -1):
-        masks = np.sort(np.concatenate((masks, best[sizes == s])))
-        masks = masks[np.append(masks[:1] >= 0, masks[1:] != masks[:-1])]  # each once
-        least = _least(value, masks, s)
-        tight.append((masks, least))
-        masks = np.concatenate([prev[value[prev] == least] for prev in _drop_each(masks, s)])
+        masks = np.concatenate((masks, best[sizes == s]))
+        if (cached := _layer(g.n, s)) is None:
+            masks = np.unique(masks)
+            tight.append((masks, least := _least(value, masks, s)))
+            masks = np.concatenate([prev[value[prev] == least] for prev in _drop_each(masks, s)])
+            continue
+        hit = np.bincount(np.searchsorted(cached[0], masks), minlength=cached[0].size) > 0
+        below = value[drops := cached[3][:, hit]]
+        tight.append((cached[0][hit], least := below.min(0)))  # each once, ascending
+        masks = drops[below == least]
 
     seq: list[int] = []
     mask = charge = 0  # the prefix placed so far and its least chain charge

@@ -333,3 +333,53 @@ def test_parse_memory_stays_within_five_times_the_text():
         tracemalloc.stop()
     assert inst.graph.m == m
     assert peak <= 5 * len(text), peak / len(text)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        out = call(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_and_write_memory_on_the_million_edge_star():
+    # parse: build_graph frees lo once the key is made, below the 4.5x of
+    # holding it to the end; write: one block of rows at a time, so the
+    # blocks' text and the joined text, about twice the text
+    m = 1_000_000
+    text = "".join([f"p msvc {m + 1} {m} 1 {m}\n"] + [f"e 1 {v}\n" for v in range(2, m + 2)])
+    inst, peak = _traced_peak(parse_instance, text)
+    assert peak <= 4 * len(text), peak / len(text)
+    out, peak = _traced_peak(write_instance, inst)
+    assert out == text
+    assert peak <= 2.25 * len(text), peak / len(text)
+    seq = np.random.default_rng(5).permutation(m + 1)
+    out, peak = _traced_peak(write_ordering, Ordering.from_sequence(seq))
+    assert peak <= 2.25 * len(out), peak / len(out)
+
+
+@contextmanager
+def block_rows(rows):
+    """Run the writers with blocks of rows rows."""
+    saved = instance_io._ROWS
+    instance_io._ROWS = rows
+    try:
+        yield
+    finally:
+        instance_io._ROWS = saved
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 1000])
+def test_written_text_is_the_same_at_any_block_size(rows):
+    """Each block takes its own digit widths; the text is the same."""
+    g = build_graph(1200, [(0, v) for v in range(1, 1200)] + [(998, 999), (5, 1199)])
+    seq = np.random.default_rng(rows).permutation(1200)
+    want = (write_instance(Instance(g, w=9, k=2)), write_ordering(Ordering.from_sequence(seq)))
+    assert want[0] == "p msvc 1200 1201 2 9\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges)
+    assert want[1] == " ".join(str(v + 1) for v in seq.tolist()) + "\n"
+    with block_rows(rows):
+        assert (write_instance(Instance(g, w=9, k=2)), write_ordering(Ordering.from_sequence(seq))) == want
+        assert write_ordering(Ordering.identity(1)) == "1\n"
+        assert write_instance(Instance(build_graph(3, []), w=0, k=0)) == "p msvc 3 0 0 0\n"

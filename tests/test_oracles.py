@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import permutations
 from math import comb
 from pathlib import Path
@@ -305,6 +306,89 @@ def test_dp_witnesses_pinned():
             h.update(repr((name, k, None if r is None else (r[0], r[1].sequence))).encode())
         h.update(repr((name, min_max_cost_over_optima(g))).encode())
     assert h.hexdigest() == DP_WITNESS_DIGEST
+
+
+# sha256 of the value and covers bytes of build_dp_table at every k over
+# dp_corpus, as computed before the DP cached any layer
+DP_TABLE_DIGEST = "f1f9ae44d1927147c0ee0acbdf06e55f3c82f19e4d447bdf7cf2f265e6661841"
+
+
+@contextmanager
+def dp_cache_bound(bound):
+    """Run the subset DP with layers of at most bound drops cached, from an
+    empty cache; the cache is emptied again on the way out."""
+    saved = oracles._CACHED_DROPS
+    oracles._CACHED_DROPS = bound
+    oracles._layer.cache_clear()
+    try:
+        yield
+    finally:
+        oracles._CACHED_DROPS = saved
+        oracles._layer.cache_clear()
+
+
+# nothing cached; the small layers cached and the larger ones above them
+# streamed; the default; every layer cached
+CACHE_BOUNDS = [0, 200, oracles._CACHED_DROPS, 1 << 62]
+
+
+@pytest.mark.parametrize("bound", CACHE_BOUNDS)
+def test_dp_tables_are_byte_identical_at_any_cache_bound(bound):
+    h = hashlib.sha256()
+    with dp_cache_bound(bound):
+        for name, g in dp_corpus():
+            for k in range(g.n + 1):
+                table = build_dp_table(g, k)
+                h.update(repr((name, k, table.value.dtype.str, table.covers.dtype.str)).encode())
+                h.update(table.value.tobytes())
+                h.update(table.covers.tobytes())
+        cached = [oracles._layer(g.n, s) is not None for _, g in dp_corpus() for s in range(1, g.n + 1)]
+    assert h.hexdigest() == DP_TABLE_DIGEST
+    assert any(cached) == (bound > 0) and all(cached) == (bound == 1 << 62)
+
+
+@pytest.mark.parametrize("bound", CACHE_BOUNDS)
+def test_dp_witnesses_pinned_at_any_cache_bound(bound):
+    with dp_cache_bound(bound):
+        test_dp_witnesses_pinned()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_cached_layers_match_their_definition(n):
+    """Layer s holds the masks of s vertices ascending; row r and cut c of
+    _next_layer rebuild each from the layer below; the drops of a mask are
+    the masks less each of its vertices."""
+    with dp_cache_bound(1 << 62):
+        for s in range(1, n + 1):
+            masks, rows, cuts, drops = oracles._layer(n, s)
+            below = oracles._layer(n, s - 1)[0]
+            want = [mask for mask in range(1 << n) if bin(mask).count("1") == s]
+            assert masks.tolist() == want and drops.shape == (s, len(want))
+            assert cuts.tolist() == [int(np.sum(below < (1 << v))) for v in range(n)]
+            tops = [mask.bit_length() - 1 for mask in want]
+            assert (below[rows] | (1 << np.array(tops, dtype=np.int64))).tolist() == want
+            for mask, col in zip(want, drops.T.tolist()):
+                assert sorted(col) == sorted(mask & ~(1 << v) for v in range(n) if mask >> v & 1)
+            for a in (masks, rows, cuts, drops):
+                assert a.dtype == np.int64 and not a.flags.writeable
+
+
+def test_dp_layer_cache_stays_under_a_megabyte():
+    """Every layer the default bound caches for n <= 18 (all of n <= 12)
+    takes at most 1 MB together; larger layers stream."""
+    with dp_cache_bound(oracles._CACHED_DROPS):
+        layers = [oracles._layer(n, s) for n in range(19) for s in range(n + 1)]
+        assert all(oracles._layer(n, s) is not None for n in range(13) for s in range(n + 1))
+        assert oracles._layer(13, 7) is None and oracles._layer(18, 4) is None
+        total = sum(a.nbytes for layer in layers if layer is not None for a in layer if a is not None)
+    assert total <= 1_000_000, total
+
+
+def test_import_builds_no_dp_layer():
+    code = "import msvc, msvc.oracles as o; print(o._layer.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 def _branch_witness(g, k):
