@@ -145,8 +145,8 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Gr
     if dup.any():
         first = int(key[dup.argmax()])
         raise GraphError(f"duplicate edge {divmod(first, n)}")
-    eu, ev = np.divmod(key, max(n, 1))
-    return Graph(n=n, eu=_readonly(eu), ev=_readonly(ev))
+    np.divmod(key, max(n, 1), out=(eu := np.empty_like(key), key))  # ev is the key's own buffer
+    return Graph(n=n, eu=_readonly(eu), ev=_readonly(key))
 
 
 def _permutation_error(arr: np.ndarray, n: int, low: int = 0) -> OrderingError:

@@ -51,6 +51,8 @@ class DpTable:
     (int64): the vertex covers of at most k vertices at the least value among
     them, by size, then ascending.  A layer's masks, parents and drops are
     cached when s * comb(n, s) <= _CACHED_DROPS there and below: 0.96 MB to n = 18.
+    The witness pass marks tight masks in a 2^n bool array beside the table,
+    half its bytes (16 MB at n = 24), written only at the pages it marks.
     """
 
     value: np.ndarray
@@ -198,10 +200,11 @@ def build_dp_table(g: Graph, k: int) -> DpTable:
             layer, rows, cuts, drops = _layer(n, s) or (*_next_layer(layer, n), None)
             unc = unc[rows] - np.bitwise_count(np.repeat(adj, cuts) & ~layer)
             value[layer] = (_least(value, layer, s) if drops is None else value[drops].min(0)) + unc
-        found = layer[unc == 0]
-        if (low := int(value[found].min(initial=DP_UNFILLED))) < opt:
-            opt, covers = low, []
-        covers.append(found[value[found] == opt])
+        if (found := layer[unc == 0]).size:  # no cover below tau: nothing to keep
+            at = value[found]
+            if (low := int(at.min())) < opt:
+                opt, covers = low, []
+            covers.append(found[at == opt])
     return DpTable(value, np.concatenate(covers))
 
 
@@ -216,35 +219,38 @@ def optimal_covers(table: DpTable):
 def subset_dp_optimal(g: Graph, k: int):
     """Subset DP optimum with max charge <= k; None when infeasible.
 
-    The witness is the lexicographically smallest optimal sequence.  A
-    backward pass collects, per size, the tight masks (prefixes of some
-    optimal ordering) and their least chain charge.  A forward walk then
-    takes the smallest vertex that keeps the prefix tight, up to a cover.
+    The witness is the lexicographically smallest optimal sequence.  One
+    test over all (cover, vertex) pairs keeps the best covers the walk can
+    end at.  A backward pass flags, per size, the tight masks (prefixes of
+    some optimal ordering) in one bool per mask (see ``DpTable``) and keeps
+    their least chain charge.  A forward walk then takes the smallest vertex
+    that keeps the prefix tight, up to a cover.
     """
     table = build_dp_table(g, k)
     if (found := optimal_covers(table)) is None:
         return None
     opt, best = found
-    value = table.value
+    value, adj, bits = table.value, _adj_masks(g), np.left_shift(1, np.arange(g.n, dtype=np.int64))
     # the walk stops at the first cover: it ends at a best cover B only if B - v
     # is at value opt for a v with a neighbour outside B (B - v is no cover)
-    ends = np.zeros(best.size, dtype=bool)
-    for v, nbrs in enumerate(_adj_masks(g)):
-        ends |= ((nbrs & ~best) != 0) & (value[best & ~(1 << v)] == opt)
-    best = best[ends]
+    step = (1 << 17) // max(g.n, 1)  # rows per block: each (rows, n) temporary about 1 MB
+    ends = [(((adj & ~b[:, None]) != 0) & (value[b[:, None] & ~bits] == opt)).any(1)
+            for b in (best[i : i + step] for i in range(0, best.size, step))]
+    best = best[np.concatenate(ends)]
     sizes = np.bitwise_count(best)
-    tight, masks = [], np.zeros(0, dtype=np.int64)
+    tight, masks, flag = [], best[:0], np.zeros(1 << g.n, dtype=bool)
+    flag[best] = True
     for s in range(int(sizes.max(initial=0)), 0, -1):
-        masks = np.concatenate((masks, best[sizes == s]))
         if (cached := _layer(g.n, s)) is None:
-            masks = np.unique(masks)
+            masks = np.unique(np.concatenate((masks, best[sizes == s])))
             tight.append((masks, least := _least(value, masks, s)))
             masks = np.concatenate([prev[value[prev] == least] for prev in _drop_each(masks, s)])
+            flag[masks] = True
             continue
-        hit = np.bincount(np.searchsorted(cached[0], masks), minlength=cached[0].size) > 0
+        hit = flag[cached[0]]
         below = value[drops := cached[3][:, hit]]
         tight.append((cached[0][hit], least := below.min(0)))  # each once, ascending
-        masks = drops[below == least]
+        flag[drops[below == least]] = True
 
     seq: list[int] = []
     mask = charge = 0  # the prefix placed so far and its least chain charge

@@ -360,6 +360,16 @@ def test_parse_and_write_memory_on_the_million_edge_star():
     assert peak <= 2.25 * len(out), peak / len(out)
 
 
+def test_parse_memory_on_the_million_edge_star_stays_near_three_times_the_text():
+    # build_graph divides the key in place: the key's buffer becomes ev, so
+    # the quotient eu is its one new edge-sized array
+    m = 1_000_000
+    text = "".join([f"p msvc {m + 1} {m} 1 {m}\n"] + [f"e 1 {v}\n" for v in range(2, m + 2)])
+    inst, peak = _traced_peak(parse_instance, text)
+    assert inst.graph.m == m and inst.graph.ev[-1] == m
+    assert peak <= 3.25 * len(text), peak / len(text)
+
+
 @contextmanager
 def block_rows(rows):
     """Run the writers with blocks of rows rows."""

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import permutations
 from math import comb
@@ -389,6 +390,49 @@ def test_import_builds_no_dp_layer():
     env = {**os.environ, "PYTHONPATH": str(Path(oracles.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "0"
+
+
+def _tie_heavy_graphs():
+    """Graphs with many optimal orderings: complete bipartite K_{a,b} (the
+    first a vertices on one side), perfect matchings, complete and edgeless."""
+    for a in range(1, 5):
+        for b in range(1, 6):
+            yield build_graph(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
+    for m in range(1, 6):
+        yield build_graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    for n in range(1, 10):
+        yield complete(n)
+    for n in range(6):
+        yield build_graph(n, [])
+
+
+@pytest.mark.parametrize("bound", CACHE_BOUNDS[:3])
+def test_dp_matches_brute_on_tie_heavy_graphs(bound):
+    """Cost and lexicographically smallest witness at every k, with nothing,
+    the smallest layers or the default layers cached."""
+    with dp_cache_bound(bound):
+        for g in _tie_heavy_graphs():
+            for k in range(g.n + 1):
+                b, d = brute_force_optimal(g, k), subset_dp_optimal(g, k)
+                assert (None if b is None else (b[0], b[1].sequence)) == (
+                    None if d is None else (d[0], d[1].sequence)), (g.n, g.edges, k)
+
+
+def test_dp_witness_memory_on_a_perfect_matching():
+    """At k = n every superset of a best cover is a best cover: 3^10 of them
+    for 10 disjoint edges.  The ends test runs in row blocks and the tight
+    masks take one bool per mask, so the call peaks near the 2^n int16 table
+    and its covers, not at an (covers, n) int64 temporary."""
+    g = build_graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    with dp_cache_bound(oracles._CACHED_DROPS):
+        tracemalloc.start()
+        try:
+            r = subset_dp_optimal(g, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert r[0] == 55 and r[1].sequence[:10] == tuple(range(0, 20, 2))
+    assert peak <= 11_000_000, peak
 
 
 def _branch_witness(g, k):
