@@ -20,36 +20,46 @@ and each state expanded once.  A layer keeps a state's least charge so far
 (the summed uncovered edges of the prefixes before it), the smallest
 prefix at that charge and its uncovered edges.
 
-Cap.  It starts at the least cost of the greedy ordering, which repeatedly
-places the vertex covering the most uncovered edges, when its max charge
-is at most k, and of each cover's greedy ordering, which places only the
-cover's vertices; each complete ordering the layers find lowers it.  Along
-an optimal path from any state the edges each vertex newly covers (its
-saving) never grow: if a vertex saved more than the one just before it,
-swapping the two would lower the chain cost and place no more vertices
-outside the cover.  So a move that saves s edges and leaves u > 0 is
-dropped when the charge so far plus its saving bound u + (u - s) + ...
-over the terms >= 0, (q + 1)u - s q(q + 1)/2 with q = u // s, exceeds the
-cap.  Each cap is the cost of a real ordering and the bound is at most the
-charge still to come, so the strict cut drops no optimal path, tied ones
-included.  Every move saves s >= 1, and moves are tried fewest edges left
-first, so s falls as u rises and the bound never falls: the first dropped
-move ends a state's loop.
+Cap.  The search starts from the least (cost, tight prefix) of the greedy
+ordering, which repeatedly places the vertex covering the most uncovered
+edges, when its max charge is at most k, and of each cover's greedy
+ordering, which places only the cover's vertices.  The cap is its cost, and
+each complete ordering the layers find lowers both.  Along an optimal path
+from any state the edges each vertex newly covers (its saving) never grow:
+if a vertex saved more than the one just before it, swapping the two would
+lower the chain cost and place no more vertices outside the cover.  So a
+move that saves s edges and leaves u > 0 is dropped when the charge so far
+plus its saving bound u + (u - s) + ... over the terms >= 0,
+(q + 1)u - s q(q + 1)/2 with q = u // s, exceeds the cap.  Each cap is the
+cost of a real ordering and the bound is at most the charge still to come,
+so the strict cut drops no optimal path, tied ones included.  Every move
+saves s >= 1, and moves are tried fewest edges left first, so s falls as u
+rises and the bound grows strictly (each of its terms does): the first
+dropped move ends a state's loop.  A move whose bound equals the cap is
+dropped too when its prefix sorts after the best known one: its orderings
+cost at least the cap and differ from that prefix at a position where they
+hold the larger vertex (they cannot extend a complete prefix, as each move
+saves an edge), so each sorts after the best known sequence.  A later move
+ties the cap only with the same u and a larger vertex, which sorts later
+still, so this drop ends the loop too.
 
 Witness.  A move that leaves no edge uncovered gives a candidate, its
 charge and the prefix with the move, and ends its state's loop, as every
-other move costs more; the least candidate is the witness's tight prefix,
-the other vertices following in ascending id.  It is the lexicographically
-smallest optimal sequence W: W's prefix to each state it passes has the
-least charge there (else a cheaper prefix with W's later moves would beat
-W) and is the smallest prefix at that charge (else swapping it in would
-give a smaller sequence at the same cost).  So a layer compares whole
-(charge, prefix) pairs: keeping the first prefix to arrive at the least
-charge is not enough, as gnp(8, .6) seed 134 at k = 6 shows (pinned in the
-tests).  A complete state is never expanded, so no candidate is a prefix
-of another, and comparing prefixes orders the full sequences.  The greedy
-ordering also cross-checks the search: when its max charge is at most k,
-the DP must find one too.
+other move costs more; the least candidate or seed is the witness's tight
+prefix, the other vertices following in ascending id.  It is the
+lexicographically smallest optimal sequence W: W's prefix to each state it
+passes has the least charge there (else a cheaper prefix with W's later
+moves would beat W) and is the smallest prefix at that charge (else
+swapping it in would give a smaller sequence at the same cost).  So a layer
+compares whole (charge, prefix) pairs: keeping the first prefix to arrive
+at the least charge is not enough, as gnp(8, .6) seed 134 at k = 6 shows
+(pinned in the tests).  A complete state is never expanded, so no candidate
+is a prefix of another, and comparing prefixes orders the full sequences.
+The tie cut never drops a move on W's path: the best known sequence is a
+real ordering and only falls, so were such a move cut, that sequence would
+be optimal and sort before W.  The greedy ordering also cross-checks the
+search: when its max charge is at most k, the cover search must find a
+cover.
 """
 
 from __future__ import annotations
@@ -114,37 +124,39 @@ class SolveResult:
     branches = property(lambda self: 0)  # harness alias: the prefix DP makes no branches
 
 
-def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None) -> Optional[int]:
-    """Cost of the ordering that repeatedly places the vertex of ``pool``
-    (default all vertices) with the most uncovered edges (ties by ascending
-    id), or None when its max charge exceeds k, known as soon as a (k+1)-th
-    vertex still covers an edge.  On a cover it places the cover alone."""
+def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None):
+    """(cost, tight prefix) of the ordering that repeatedly places the vertex
+    of ``pool`` (default all vertices; it must ascend, as ``max`` breaks ties
+    to the first, the smallest id) with the most uncovered edges, or None
+    when its max charge exceeds k, known as soon as a (k+1)-th vertex still
+    covers an edge.  On a cover it places the cover alone."""
     if k < 0:
         return None
     pool = range(g.n) if pool is None else pool
     remaining = list(g.degrees)
-    total = steps = 0
+    total, prefix = 0, []
     while True:
-        v = max(pool, key=lambda u: (remaining[u], -u), default=None)
+        v = max(pool, key=remaining.__getitem__, default=None)
         if v is None or remaining[v] == 0:
-            return total
-        steps += 1
-        if steps > k:
+            return total, tuple(prefix)
+        if len(prefix) == k:
             return None
-        total += steps * remaining[v]
+        prefix.append(v)
+        total += len(prefix) * remaining[v]
         remaining[v] = 0
         for x in g.adj[v]:
             if remaining[x]:  # unplaced: its edge to v is still uncovered
                 remaining[x] -= 1
 
 
-def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optional[int]):
+def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[tuple]):
     """(cost, tight prefix, states) of the lexicographically smallest
-    optimal sequence from the roots of ``covers``, under a cap that starts
-    at ``incumbent`` (a feasible ordering's cost, or None), or None without
-    a cover.  A layer maps each state's key x | r << n to its charge so far,
-    the smallest prefix at that charge, as its parent's prefix and a 1-tuple
-    tail (empty at a root) so that ties build no prefix, and unc."""
+    optimal sequence from the roots of ``covers``, starting from the least
+    of ``seed`` (a feasible ordering's (cost, tight prefix), or None) and
+    the covers' greedy orderings, or None without a cover.  A layer maps
+    each state's key x | r << n to its charge so far, the smallest prefix at
+    that charge, as its parent's prefix and a 1-tuple tail (empty at a root)
+    so that ties build no prefix, and unc."""
     if not covers:
         return None
     n, m = g.n, g.m
@@ -159,10 +171,11 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
         if link:
             twins[link] = twins.get(link, 0) | 1 << u
     classes = tuple(twins.items())
-    cap = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
-    cap = cap if incumbent is None else min(cap, incumbent)
+    best = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
+    best = best if seed is None else min(best, seed)
+    cap = best[0]
     layer = {sum(1 << v for v in cover) << n: (0, (), (), m) for cover in covers}
-    best, states = None, 0
+    states = 0
     while layer:
         states += len(layer)
         after = {}
@@ -187,12 +200,13 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], incumbent: Optio
             for move in moves:
                 left, v = move >> shift, move & first
                 if not left:
-                    if best is None or (charge, prefix + (v,)) < best:
+                    if (charge, prefix + (v,)) < best:
                         best = charge, prefix + (v,)
-                        cap = min(cap, charge)
+                        cap = charge
                     break
                 q = left // (unc - left)  # the saving bound, u = left, s = unc - left
-                if charge + (q + 1) * left - (unc - left) * q * (q + 1) // 2 > cap:
+                bound = charge + (q + 1) * left - (unc - left) * q * (q + 1) // 2
+                if bound > cap or bound == cap and prefix + (v,) > best[1]:
                     break  # and every later move is cut too
                 low = 1 << v
                 nxt = (key | low) & ~(low << n)  # v joins X, and leaves R if it was there
@@ -209,8 +223,9 @@ def branch_solve(inst: Instance) -> SolveResult:
     <= k; vertices after the witness's tight prefix follow in ascending id."""
     g, k = inst.graph, inst.k
     covers = enumerate_minimal_covers(g, k)
-    incumbent = greedy_incumbent(g, k)
-    found = _prefix_dp(g, k, covers, incumbent)
+    seed = greedy_incumbent(g, k)
+    incumbent = None if seed is None else seed[0]
+    found = _prefix_dp(g, k, covers, seed)
     best_cost, ids, states = None, None, 0
     if found:
         best_cost, prefix, states = found

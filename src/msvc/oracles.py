@@ -255,13 +255,15 @@ def subset_dp_optimal(g: Graph, k: int):
     seq: list[int] = []
     mask = charge = 0  # the prefix placed so far and its least chain charge
     for masks, least in reversed(tight):
-        if value[mask] == charge:  # no uncovered edge left
+        if (at := int(value[mask])) == charge:  # no uncovered edge left
             break
-        ok = np.flatnonzero(((masks & mask) == mask) & (least == value[mask]))
-        if ok.size == 0:
+        for t, c in zip(masks.tolist(), least.tolist()):  # a few masks: Python ints beat numpy calls
+            if t & mask == mask and c == at:
+                break
+        else:
             raise InvariantError("no tight extension during DP reconstruction")
-        seq.append((int(masks[ok[0]]) ^ mask).bit_length() - 1)
-        mask, charge = int(masks[ok[0]]), int(least[ok[0]])
+        seq.append((t ^ mask).bit_length() - 1)
+        mask, charge = t, c
     return opt, Ordering.from_prefix(seq, g.n)
 
 

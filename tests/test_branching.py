@@ -289,16 +289,21 @@ def test_exchange_property():
 # ------------------------------------------------------------ bounds
 
 def test_greedy_incumbent():
-    assert greedy_incumbent(claw_chain6(), 7) == 60  # already optimal
+    assert greedy_incumbent(claw_chain6(), 7) == (60, (0, 1, 4, 7, 10, 13, 16))  # already optimal
     assert greedy_incumbent(triangle(), 1) is None  # its max charge is 2
-    assert greedy_incumbent(build_graph(4, []), 0) == 0
+    assert greedy_incumbent(build_graph(4, []), 0) == (0, ())
     assert greedy_incumbent(build_graph(4, []), -1) is None  # like the oracles
     # a pool of every vertex is the default; a minimal cover's own greedy
-    # ordering is feasible and costs at least that cover's optimum
+    # ordering is feasible and costs at least that cover's optimum; each
+    # tight prefix re-costs to its cost, its last vertex charged
     for g, k in ((claw_chain6(), 7), (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8)):
         assert greedy_incumbent(g, k, range(g.n)) == greedy_incumbent(g, k)
-        for cover in enumerate_minimal_covers(g, k):
-            assert greedy_incumbent(g, k, cover) >= _prefix_dp(g, k, [cover], None)[0], cover
+        for cover in [None] + enumerate_minimal_covers(g, k):
+            cost, prefix = greedy_incumbent(g, k, cover)
+            report = evaluate(g, Ordering.from_prefix(prefix, g.n))
+            assert (report.total, report.max_cost) == (cost, len(prefix)), cover
+            if cover is not None:
+                assert cost >= _prefix_dp(g, k, [cover], None)[0], cover
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
@@ -595,21 +600,39 @@ def test_large_covers_at_large_k_match_subset_dp():
 
 
 def test_saving_bound_keeps_the_states_few():
-    """Each move is cut by the charge its own saving leaves to pay; a bound
-    that let every later vertex save the max degree took 120, 767, 511, 530
-    and 44 states on the first five rows, at the same costs."""
-    for g, k, cost, states in ((claw_chain6(), 7, 60, 64),
-                               (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 512),
-                               (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 306),
-                               (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8, 48, 250),
+    """Each move is cut by the charge its own saving leaves to pay, and a
+    move that can at best tie the cap is cut when it sorts after the best
+    sequence known.  A bound that let every later vertex save the max degree
+    took 120, 767, 511, 530 and 44 states on the first five rows, at the same
+    costs; without the tie cut the rows took 64, 512, 306, 250, 37, 31, 63,
+    27, 40 and 3,368 states."""
+    for g, k, cost, states in ((claw_chain6(), 7, 60, 7),
+                               (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 10),
+                               (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 93),
+                               (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8, 48, 211),
                                (N19, 16, 80, 37),
-                               (all_subsets(5), 10, 240, 31),
-                               (all_subsets(6), 12, 672, 63),
+                               (all_subsets(5), 10, 240, 5),
+                               (all_subsets(6), 12, 672, 6),
                                (N19, 14, 80, 27),
                                (N19, 18, 80, 40),
-                               (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12, 145, 3_368)):
+                               (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12, 145, 2_220)):
         r = branch_solve(Instance(g, w=0, k=k))
         assert (r.best_cost, r.dp_states) == (cost, states), (g, k, r.best_cost, r.dp_states)
+
+
+def test_tie_cut_past_brute_force_scale():
+    """Where nearly every ordering ties, only the tie cut keeps the states
+    few: without it 10 disjoint edges at k = 10 took 1,047,552 states and
+    claw_chain(16) at k = 17 exactly 2^16."""
+    start = time.perf_counter()
+    same_as_subset_dp(Instance(generate(GeneratorSpec("disjoint_edges", (10,))), w=0, k=10))
+    assert time.perf_counter() - start < 1.0
+    for claws, cost in ((16, 320), (20, 480)):
+        g = generate(GeneratorSpec("claw_chain", (claws,)))
+        start = time.perf_counter()
+        r = branch_solve(Instance(g, w=0, k=claws + 1))
+        assert time.perf_counter() - start < 1.0
+        assert (r.best_cost, r.dp_states) == (cost, claws + 1)  # branch_solve re-verifies it
 
 
 def test_matches_subset_dp_on_a_20_vertex_kernel():
