@@ -11,14 +11,19 @@ cost).
 One prefix DP serves every cover.  A state is (X, R): the vertices X placed
 so far and the cover vertices R = S - X still to place, keyed by the one
 int X | R << n, with one root (empty, S) per minimal cover.  A move places
-a vertex of R that covers an edge or, while |X| + |R| < k, the smallest
-member outside X + R of a twin class (vertices with the same neighbors,
-all in S, are interchangeable; degree-0 vertices join no class).  A
-state's moves depend on the state only, and each adds one vertex to X, so
-the DP runs forward one layer per |X|, each complete before it is expanded
-and each state expanded once.  A layer keeps a state's least charge so far
-(the summed uncovered edges of the prefixes before it), the smallest
-prefix at that charge and its uncovered edges.
+the smallest member of a twin class (vertices with the same neighbors;
+degree-0 vertices join no class) among the vertices outside X while
+|X| + |R| < k, and among R alone once |X| + |R| = k, if it covers an edge.
+Twins are interchangeable, so the lexicographically smallest optimal
+sequence places each class in ascending id, and once |X| + |R| = k its
+next vertex is in R.  The class loop stays short: every vertex outside a
+cover S of at most k vertices has all its neighbors in S, so there are at
+most k + 2^k classes.  A state's moves depend on the state only, and each
+adds one vertex to X, so the DP runs forward one layer per |X|, each
+complete before it is expanded and each state expanded once.  A layer
+keeps a state's least charge so far (the summed uncovered edges of the
+prefixes before it), the smallest prefix at that charge and its uncovered
+edges.
 
 Cap.  The search starts from the least (cost, tight prefix) of the greedy
 ordering, which repeatedly places the vertex covering the most uncovered
@@ -165,10 +170,9 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[t
     full = (1 << n) - 1
     shift = n.bit_length()
     first = (1 << shift) - 1
-    adj = [sum(1 << x for x in g.adj[v]) for v in range(n)]
     twins: dict[int, int] = {}  # N(u) -> its members, both as masks
-    for u, link in enumerate(adj):
-        if link:
+    for u in range(n):
+        if link := sum(1 << x for x in g.adj[u]):
             twins[link] = twins.get(link, 0) | 1 << u
     classes = tuple(twins.items())
     best = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
@@ -181,20 +185,12 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[t
         after = {}
         for key, (charge, parent, tail, unc) in layer.items():
             prefix = parent + tail
-            x, r, spare = key & full, key >> n, k - key.bit_count()
-            free, out = full ^ x ^ r, ~x
+            out = ~key  # link & out: the neighbors outside X
+            pool = out & full if key.bit_count() < k else key >> n  # outside X, or R once full
             moves = []  # edges left uncovered << shift | vertex, of every move saving an edge
-            rest = r
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if saved := (adj[v := low.bit_length() - 1] & out).bit_count():
-                    moves.append((unc - saved) << shift | v)
-            if spare > 0:
-                for link, members in classes:
-                    avail = members & free
-                    if avail and (saved := (link & r).bit_count()):
-                        moves.append((unc - saved) << shift | (avail & -avail).bit_length() - 1)
+            for link, members in classes:
+                if (avail := members & pool) and (saved := (link & out).bit_count()):
+                    moves.append((unc - saved) << shift | (avail & -avail).bit_length() - 1)
             moves.sort()  # fewest edges left first: the saving bound never falls
             charge += unc
             for move in moves:

@@ -222,9 +222,10 @@ def subset_dp_optimal(g: Graph, k: int):
     The witness is the lexicographically smallest optimal sequence.  One
     test over all (cover, vertex) pairs keeps the best covers the walk can
     end at.  A backward pass flags, per size, the tight masks (prefixes of
-    some optimal ordering) in one bool per mask (see ``DpTable``) and keeps
-    their least chain charge.  A forward walk then takes the smallest vertex
-    that keeps the prefix tight, up to a cover.
+    some optimal ordering) in one bool per mask (see ``DpTable``).  A forward
+    walk then takes the smallest vertex v whose t = prefix + v is flagged and
+    reached at its least chain charge, value[t] - unc(t) = value[prefix], up
+    to a cover: n lookups a step, however many masks are tight.
     """
     table = build_dp_table(g, k)
     if (found := optimal_covers(table)) is None:
@@ -238,32 +239,31 @@ def subset_dp_optimal(g: Graph, k: int):
             for b in (best[i : i + step] for i in range(0, best.size, step))]
     best = best[np.concatenate(ends)]
     sizes = np.bitwise_count(best)
-    tight, masks, flag = [], best[:0], np.zeros(1 << g.n, dtype=bool)
+    masks, flag = best[:0], np.zeros(1 << g.n, dtype=bool)
     flag[best] = True
     for s in range(int(sizes.max(initial=0)), 0, -1):
         if (cached := _layer(g.n, s)) is None:
             masks = np.unique(np.concatenate((masks, best[sizes == s])))
-            tight.append((masks, least := _least(value, masks, s)))
+            least = _least(value, masks, s)
             masks = np.concatenate([prev[value[prev] == least] for prev in _drop_each(masks, s)])
-            flag[masks] = True
-            continue
-        hit = flag[cached[0]]
-        below = value[drops := cached[3][:, hit]]
-        tight.append((cached[0][hit], least := below.min(0)))  # each once, ascending
-        flag[drops[below == least]] = True
+        else:
+            below = value[drops := cached[3][:, flag[cached[0]]]]
+            masks = drops[below == below.min(0)]
+        flag[masks] = True
 
-    seq: list[int] = []
-    mask = charge = 0  # the prefix placed so far and its least chain charge
-    for masks, least in reversed(tight):
-        if (at := int(value[mask])) == charge:  # no uncovered edge left
-            break
-        for t, c in zip(masks.tolist(), least.tolist()):  # a few masks: Python ints beat numpy calls
-            if t & mask == mask and c == at:
-                break
+    seq, links = [], adj.tolist()
+    mask, unc = 0, g.m  # the prefix placed so far and its uncovered edges
+    while unc:  # the walk ends at the first cover
+        at = int(value[mask])
+        for v in range(g.n):  # smallest v with t tight and reached from mask at its least charge
+            if (t := mask | 1 << v) != mask and flag[t]:
+                left = unc - (links[v] & ~mask).bit_count()
+                if int(value[t]) - left == at:
+                    break
         else:
             raise InvariantError("no tight extension during DP reconstruction")
-        seq.append((t ^ mask).bit_length() - 1)
-        mask, charge = t, c
+        seq.append(v)
+        mask, unc = t, left
     return opt, Ordering.from_prefix(seq, g.n)
 
 

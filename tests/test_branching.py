@@ -431,8 +431,9 @@ def test_claw_chains_match_subset_dp_at_large_k():
 def test_all_subsets_takes_the_dp():
     same_as_subset_dp(Instance(all_subsets(4), w=0, k=8))
 
-    # past the subset DP's reach: the cap and its saving bound keep the DP at
-    # s = 5 to 31 states; without them its first 8 of 10 layers hold 3.7 million
+    # past the subset DP's reach: the cap, its saving bound and the tie cut keep
+    # the DP at 5 states at s = 5 and 6 at s = 6; without them its first 8 of
+    # 10 layers hold 3.7 million
     for s in (5, 6):
         g, k = all_subsets(s), 2 * s
         start = time.perf_counter()
@@ -605,7 +606,9 @@ def test_saving_bound_keeps_the_states_few():
     sequence known.  A bound that let every later vertex save the max degree
     took 120, 767, 511, 530 and 44 states on the first five rows, at the same
     costs; without the tie cut the rows took 64, 512, 306, 250, 37, 31, 63,
-    27, 40 and 3,368 states."""
+    27, 40 and 3,368 states.  The last three rows have twins among their
+    cover vertices, placed in ascending id only: with a move for every cover
+    vertex they took 374, 429 and 51 states."""
     for g, k, cost, states in ((claw_chain6(), 7, 60, 7),
                                (generate(GeneratorSpec("claw_chain", (9,))), 10, 117, 10),
                                (generate(GeneratorSpec("claw_chain", (4,))), 10, 30, 93),
@@ -615,7 +618,10 @@ def test_saving_bound_keeps_the_states_few():
                                (all_subsets(6), 12, 672, 6),
                                (N19, 14, 80, 27),
                                (N19, 18, 80, 40),
-                               (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12, 145, 2_220)):
+                               (generate(GeneratorSpec("gnp", (16, 0.3), seed=1)), 12, 145, 2_220),
+                               (generate(GeneratorSpec("random_regular", (10, 4), seed=1)), 8, 61, 306),
+                               (generate(GeneratorSpec("random_regular", (10, 4), seed=1)), 10, 61, 359),
+                               (generate(GeneratorSpec("gnp", (8, 0.7), seed=8071)), 8, 54, 43)):
         r = branch_solve(Instance(g, w=0, k=k))
         assert (r.best_cost, r.dp_states) == (cost, states), (g, k, r.best_cost, r.dp_states)
 

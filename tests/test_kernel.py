@@ -443,6 +443,31 @@ def test_solve_against_subset_dp_past_brute_force_scale():
     assert fired[Rule2Record] >= 10 and fired[Rule4Record] >= 10, fired
 
 
+def test_solve_against_branch_solve_past_oracle_scale():
+    """Kernel -> branch -> lift returns the same cost and witness bytes as
+    the branching solver on the whole graph, on 40 hub graphs with pendant
+    noise at n = 50 to 3,000, past the subset DP's n = 24, at k = 2..8.
+    The noise leaves most of these pairs without a cover of k vertices."""
+    rng = random.Random(27)
+    fired = {Rule2Record: 0, Rule4Record: 0}
+    pairs = orderings = 0
+    for n in (50, 200, 1_000, 3_000):
+        for _ in range(10):
+            g = _small_hub_graph(rng, n)
+            for k in (2, 4, 6, 8):
+                inst = Instance(g, w=k * g.m, k=k)
+                want, result = branch_solve(inst), solve(inst)
+                assert (result.best_cost, result.ids) == (want.best_cost, want.ids), (n, g.edges, k)
+                pairs += 1
+                orderings += want.best_cost is not None
+                out = kernelize(inst)
+                if isinstance(out, Kernel):
+                    for rule in fired:
+                        fired[rule] += any(isinstance(s, rule) for s in out.trace.steps)
+    assert pairs == 160 and orderings >= 4
+    assert fired[Rule2Record] >= 10 and fired[Rule4Record] >= 10, fired
+
+
 def test_kernelize_deterministic():
     inst = Instance(double_star(), w=13, k=2)
     a, b = kernelize(inst), kernelize(inst)
