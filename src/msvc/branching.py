@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .graph import Graph, Instance, InvariantError, Ordering, evaluate
-from .covers import enumerate_minimal_covers
+from .covers import bit_mask, enumerate_minimal_covers
 from .kernel import Kernel, TrivialNo, kernelize, lift
 
 
@@ -158,10 +158,11 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[t
     """(cost, tight prefix, states) of the lexicographically smallest
     optimal sequence from the roots of ``covers``, starting from the least
     of ``seed`` (a feasible ordering's (cost, tight prefix), or None) and
-    the covers' greedy orderings, or None without a cover.  A layer maps
-    each state's key x | r << n to its charge so far, the smallest prefix at
-    that charge, as its parent's prefix and a 1-tuple tail (empty at a root)
-    so that ties build no prefix, and unc."""
+    the covers' greedy orderings, or None without a cover.  Twin classes
+    are keyed by g.adj[u], and each class's two masks are built once.  A
+    layer maps each state's key x | r << n to its charge so far, the
+    smallest prefix at that charge, as its parent's prefix and a 1-tuple
+    tail (empty at a root) so that ties build no prefix, and unc."""
     if not covers:
         return None
     n, m = g.n, g.m
@@ -170,15 +171,14 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[t
     full = (1 << n) - 1
     shift = n.bit_length()
     first = (1 << shift) - 1
-    twins: dict[int, int] = {}  # N(u) -> its members, both as masks
-    for u in range(n):
-        if link := sum(1 << x for x in g.adj[u]):
-            twins[link] = twins.get(link, 0) | 1 << u
-    classes = tuple(twins.items())
+    twins: dict[tuple, list[int]] = {}  # g.adj[u] -> its members, ascending
+    for u, ids in enumerate(g.adj):
+        twins.setdefault(ids, []).append(u)
+    classes = tuple((bit_mask(ids), bit_mask(members)) for ids, members in twins.items() if ids)
     best = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
     best = best if seed is None else min(best, seed)
     cap = best[0]
-    layer = {sum(1 << v for v in cover) << n: (0, (), (), m) for cover in covers}
+    layer = {bit_mask(cover) << n: (0, (), (), m) for cover in covers}
     states = 0
     while layer:
         states += len(layer)

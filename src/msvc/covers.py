@@ -1,16 +1,17 @@
 """Enumeration of all minimal vertex covers of size at most k.
 
-Recursive edge branching: at the lexicographically smallest uncovered edge uv,
-either take u, or permanently exclude u and take all of N(u).  A branch is cut
-once its cover exceeds k, needs an excluded vertex, or leaves more uncovered
-edges than its k - |cover| vertices to come cover at the maximum degree each.
-Non-minimal leaves are dropped, leaving at most 2^k distinct covers.
+Edge branching on an explicit stack of (cover mask, uncovered edges, scan
+start) ints: at u, the smallest vertex with an uncovered edge, take u or
+exclude u and take N(u) - cover; cut once the cover exceeds k or the
+uncovered edges outnumber k - |cover| times the maximum degree.  An excluded
+vertex keeps its neighbors in the cover, so the branches share no cover.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .graph import Graph, is_vertex_cover
 
@@ -25,7 +26,19 @@ def enumerate_minimal_covers(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All minimal vertex covers of size <= k as ascending tuples, sorted."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return sorted(tuple(_members(c)) for c in set(_minimal_covers(g, k)))
+    return sorted(tuple(_members(c)) for c in _minimal_covers(g, k))
+
+
+def bit_mask(ids: Sequence[int]) -> int:
+    """The mask of ascending ids, in time linear in its size and their count."""
+    if len(ids) > 64:
+        flags = np.zeros(ids[-1] + 1, bool)
+        flags[np.fromiter(ids, np.intp, len(ids))] = True
+        return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    mask = 0
+    for x in ids:
+        mask |= 1 << x
+    return mask
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -36,27 +49,33 @@ def _members(mask: int) -> Iterator[int]:
 
 
 def _minimal_covers(g: Graph, k: int) -> Iterator[int]:
-    """The minimal vertex covers of size <= k as vertex masks, lazily in search
-    order, some more than once.  A branch gets its cover and excluded vertices
-    as masks and its uncovered edges in lexicographic order, and undoes nothing."""
-    max_deg = max(g.degrees, default=0)
+    """The minimal covers of size <= k as masks, lazily, "take u" first."""
+    masks, max_deg = {}, max(g.degrees, default=0)
 
-    def explore(cover: int, excluded: int, uncovered: list[tuple[int, int]]) -> Iterator[int]:
-        # at most max_deg edges per vertex to come, and none past k vertices
-        if len(uncovered) > (k - cover.bit_count()) * max_deg:
-            return
-        if not uncovered:
-            members = set(_members(cover))
-            if not any(members.issuperset(g.adj[v]) for v in members):  # a private edge each
+    def nbr(v: int) -> int:  # built on first use, one per neighbor tuple: twins share it
+        return masks.get(ids := g.adj[v]) or masks.setdefault(ids, bit_mask(ids))
+
+    stack = [(0, g.m, 0)] if g.m <= k * max_deg else []
+    while stack:
+        cover, count, u = stack.pop()
+        out = ~cover
+        if not count:
+            rest = cover  # kept if each member has a private edge
+            while rest and nbr((low := rest & -rest).bit_length() - 1) & out:
+                rest ^= low
+            if not rest:
                 yield cover
-            return
-        u = uncovered[0][0]
-        rest = bisect_left(uncovered, (u + 1,))  # u's edges come first: no smaller vertex has one
-        if not excluded >> u & 1:
-            yield from explore(cover | 1 << u, excluded, uncovered[rest:])
-        need = {b for _, b in uncovered[:rest]}  # N(u) less the cover
-        if cover.bit_count() + len(need) <= k and not any(excluded >> x & 1 for x in need):
-            left = [(a, b) for a, b in uncovered[rest:] if a not in need and b not in need]
-            yield from explore(cover | sum(1 << x for x in need), excluded | 1 << u, left)
-
-    return explore(0, 0, list(g.edges))
+            continue
+        while cover >> u & 1 or not nbr(u) & out:
+            u += 1
+        need = nbr(u) & out  # u's uncovered edges lead here
+        room = k - cover.bit_count() - (size := need.bit_count())
+        if room >= 0:  # exclude u: need joins the cover
+            grown, left, rest = cover, count, need
+            while rest:
+                left -= (nbr((low := rest & -rest).bit_length() - 1) & ~grown).bit_count()
+                grown, rest = grown | low, rest ^ low
+            if left <= room * max_deg:
+                stack.append((grown, left, u + 1))
+        if count - size <= (room + size - 1) * max_deg:  # take u, popped first
+            stack.append((cover | 1 << u, count - size, u + 1))

@@ -392,15 +392,15 @@ def test_rules_2_and_4_against_brute_force():
     assert fired[Rule2Record] >= 20 and fired[Rule4Record] >= 20, fired
 
 
-def _small_hub_graph(rng, n):
+def _small_hub_graph(rng, n, noise=0.2):
     """n vertices: 1-3 hubs, some adjacent, and every other vertex a leaf
-    of one hub, of two hubs, or, as pendant noise, of an earlier leaf;
-    labels shuffled."""
+    of one hub, of two hubs, or, with probability ``noise``, as pendant
+    noise, of an earlier leaf; labels shuffled."""
     hubs = rng.randint(1, 3)
     edges = [(h - 1, h) for h in range(1, hubs) if rng.random() < 0.5]
     for v in range(hubs, n):
         r = rng.random()
-        if v > hubs and r < 0.2:
+        if v > hubs and r < noise:
             edges.append((rng.randrange(hubs, v), v))
         elif hubs > 1 and r < 0.35:
             a, b = rng.sample(range(hubs), 2)
@@ -445,26 +445,29 @@ def test_solve_against_subset_dp_past_brute_force_scale():
 
 def test_solve_against_branch_solve_past_oracle_scale():
     """Kernel -> branch -> lift returns the same cost and witness bytes as
-    the branching solver on the whole graph, on 40 hub graphs with pendant
-    noise at n = 50 to 3,000, past the subset DP's n = 24, at k = 2..8.
-    The noise leaves most of these pairs without a cover of k vertices."""
+    the branching solver on the whole graph, on 80 hub graphs at n = 50 to
+    3,000, past the subset DP's n = 24, at k = 2..8.  In the first 40 the
+    pendant noise leaves most pairs without a cover of k vertices; the
+    other 40 have about two pendant-noise leaves each, so most of their
+    pairs have an ordering and compare lifted witnesses."""
     rng = random.Random(27)
     fired = {Rule2Record: 0, Rule4Record: 0}
-    pairs = orderings = 0
-    for n in (50, 200, 1_000, 3_000):
-        for _ in range(10):
-            g = _small_hub_graph(rng, n)
-            for k in (2, 4, 6, 8):
-                inst = Instance(g, w=k * g.m, k=k)
-                want, result = branch_solve(inst), solve(inst)
-                assert (result.best_cost, result.ids) == (want.best_cost, want.ids), (n, g.edges, k)
-                pairs += 1
-                orderings += want.best_cost is not None
-                out = kernelize(inst)
-                if isinstance(out, Kernel):
-                    for rule in fired:
-                        fired[rule] += any(isinstance(s, rule) for s in out.trace.steps)
-    assert pairs == 160 and orderings >= 4
+    pairs, orderings = 0, {False: 0, True: 0}
+    for few in (False, True):
+        for n in (50, 200, 1_000, 3_000):
+            for _ in range(10):
+                g = _small_hub_graph(rng, n, 2 / n if few else 0.2)
+                for k in (2, 4, 6, 8):
+                    inst = Instance(g, w=k * g.m, k=k)
+                    want, result = branch_solve(inst), solve(inst)
+                    assert (result.best_cost, result.ids) == (want.best_cost, want.ids), (n, g.edges, k)
+                    pairs += 1
+                    orderings[few] += want.best_cost is not None
+                    out = kernelize(inst)
+                    if isinstance(out, Kernel):
+                        for rule in fired:
+                            fired[rule] += any(isinstance(s, rule) for s in out.trace.steps)
+    assert pairs == 320 and orderings[False] >= 4 and orderings[True] >= 100, orderings
     assert fired[Rule2Record] >= 10 and fired[Rule4Record] >= 10, fired
 
 
