@@ -26,7 +26,7 @@ def enumerate_minimal_covers(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All minimal vertex covers of size <= k as ascending tuples, sorted."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    return sorted(tuple(_members(c)) for c in _minimal_covers(g, k))
+    return sorted(map(_members, _minimal_covers(g, k)))
 
 
 def bit_mask(ids: Sequence[int]) -> int:
@@ -41,11 +41,13 @@ def bit_mask(ids: Sequence[int]) -> int:
     return mask
 
 
-def _members(mask: int) -> Iterator[int]:
+def _members(mask: int) -> tuple[int, ...]:
     """The vertices of a mask, ascending."""
+    members = []
     while mask:
-        yield (low := mask & -mask).bit_length() - 1
+        members.append((low := mask & -mask).bit_length() - 1)
         mask ^= low
+    return tuple(members)
 
 
 def _minimal_covers(g: Graph, k: int) -> Iterator[int]:

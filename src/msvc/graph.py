@@ -198,16 +198,16 @@ class Ordering:
         """The prefix, then every other vertex of 0..n-1 in ascending id.  A
         prefix id out of range or repeated raises OrderingError."""
         head = np.asarray(prefix) if len(prefix) else np.zeros(0, dtype=np.int64)
-        rest = np.ones(n, dtype=bool)
+        taken = np.zeros(n, dtype=bool)
         if head.ndim == 1 and head.dtype.kind in "iu" and ((head >= 0) & (head < n)).all():
-            rest[head] = False
-        # an id out of range leaves every vertex in the rest, a repeated one
-        # leaves one too many
-        if np.count_nonzero(rest) != n - len(head):
+            taken[head] = True
+        # an id out of range leaves every vertex untaken, a repeated one
+        # leaves one too few taken
+        if np.count_nonzero(taken) != len(head):
             raise _permutation_error(head, n)
         ids = np.empty(n, dtype=_id_dtype(n))
         ids[: len(head)] = head
-        ids[len(head):] = np.flatnonzero(rest)
+        ids[len(head):] = (~taken).nonzero()[0]
         return Ordering(ids=ids.tobytes())
 
     @staticmethod
@@ -277,7 +277,7 @@ def evaluate(g: Graph, ordering: Ordering) -> CostReport:
     position = np.empty(g.n, dtype=np.int64)
     position[ordering.array] = np.arange(1, g.n + 1)
     charge = np.minimum(position[g.eu], position[g.ev])
-    r = np.bincount(charge - 1, minlength=g.n)
+    r = np.bincount(charge, minlength=g.n + 1)[1:]  # every charge is at least 1
     total, max_cost = int(charge.sum()), int(charge.max(initial=0))
     return CostReport(r=tuple(r.tolist()), total=total, max_cost=max_cost)
 

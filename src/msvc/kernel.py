@@ -18,14 +18,16 @@ The pipeline runs four reductions in a fixed order:
 Every mutation is recorded in a trace that supports lifting a kernel optimum
 back to an ordering of the original graph with an exactly accounted cost.
 
-The pipeline runs on the graph's edge arrays.  Rule 1 counts the vertices
-of degree > k.  Rule 2 reads only the high-degree prefix of the degree
-order; per head vertex it finds the incident edges with one pass over the
-edge arrays, picks the tail edges with one stable sort by current degree,
-clears them in an alive-edge mask and lowers a degree array.  Rules 3 and 4
-are masks and bincounts, and compaction is an index remap.  The trace
-records hold the removed edges and the deleted vertices as read-only int64
-arrays.
+The pipeline runs on the graph's edge arrays.  Rule 1 and the rule-2 loop
+test read one count of the vertices of degree > k and the maximum degree,
+so the degree order is built only when rule 2 can fire; it reads only the
+order's high-degree prefix.  Per head vertex it finds the incident edges in
+one pass over the edge arrays, picks the tail edges with one stable sort by
+current degree, clears them in an alive-edge mask and lowers a copy of the
+degree array.  Rules 3 and 4 are masks and bincounts, compaction is an
+index remap, and ``lift`` maps the kernel ordering's tight prefix through
+the vertex-map tuple.  The trace records hold the removed edges and the
+deleted vertices as read-only int64 arrays.
 """
 
 from __future__ import annotations
@@ -114,16 +116,12 @@ class Kernel:
 
 
 class _WorkGraph:
-    """Array work state of the pipeline.
-
-    The input graph's edge arrays stay as they are; rule 2 clears entries of
-    an alive-edge mask, built when rule 2 first fires, and lowers a copy of
-    the degree array.
-    """
+    """Array work state of the pipeline: the input graph's edge arrays and
+    degrees, and the alive-edge mask and degree copy rule 2 changes."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.deg = g.deg.copy()
+        self.deg = g.deg
         self.alive: Optional[np.ndarray] = None
 
     def alive_edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +135,6 @@ class _WorkGraph:
         other endpoint: one pass over ``ev`` for the edges (x, u), and the
         edges (u, x) are a contiguous run of the sorted ``eu``."""
         g = self.g
-        if self.alive is None:
-            self.alive = np.ones(g.m, dtype=bool)
         first, last = np.searchsorted(g.eu, (u, u + 1))
         ids = np.concatenate((np.flatnonzero(g.ev == u), np.arange(first, last)))
         ids = ids[self.alive[ids]]
@@ -189,6 +185,8 @@ def _apply_rule2(
     at t to exactly k.  ``error`` is raised, before anything changes, when
     the gap at t is at most k or a head vertex has too few tail edges.
     """
+    if work.alive is None:  # the first step: every edge alive, degrees of their own
+        work.alive, work.deg = np.ones(work.g.m, dtype=bool), work.deg.copy()
     deg = work.deg
     order = np.asarray(order)
     head = order[:t].tolist()
@@ -236,15 +234,14 @@ def rule2_apply(inst: Instance, t: int) -> tuple[Instance, Rule2Record]:
     return Instance(graph=graph, w=new_w, k=k), record
 
 
-def _isolated_substitution_sets(work: _WorkGraph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (high, iso): high = degree > k; iso = not high and every alive
-    neighbor high (degree-0 vertices included)."""
-    high = work.deg > k
+def _isolated_substitution_set(work: _WorkGraph, high: np.ndarray) -> np.ndarray:
+    """The mask of I, given the mask of degree > k: the vertices not high
+    whose alive neighbors are all high (degree-0 vertices included)."""
     eu, ev = work.alive_edges()
     has_low_neighbor = np.zeros(high.size, dtype=bool)
     has_low_neighbor[eu[~high[ev]]] = True
     has_low_neighbor[ev[~high[eu]]] = True
-    return high, ~(high | has_low_neighbor)
+    return ~(high | has_low_neighbor)
 
 
 def _rule3_fires(k: int, high: np.ndarray, iso: np.ndarray) -> bool:
@@ -258,7 +255,8 @@ def _rule3_fires(k: int, high: np.ndarray, iso: np.ndarray) -> bool:
 def rule3_check(inst: Instance) -> bool:
     """Counting bound: fires (trivial no) iff the vertices outside
     high-degree and outside I number more than (k - |high|) * (k + 1)."""
-    return _rule3_fires(inst.k, *_isolated_substitution_sets(_WorkGraph(inst.graph), inst.k))
+    high = inst.graph.deg > inst.k
+    return _rule3_fires(inst.k, high, _isolated_substitution_set(_WorkGraph(inst.graph), high))
 
 
 def rule4_apply(inst: Instance) -> tuple[Instance, Optional[Rule4Record]]:
@@ -268,9 +266,8 @@ def rule4_apply(inst: Instance) -> tuple[Instance, Optional[Rule4Record]]:
     rule does not apply (I empty, or some high vertex is adjacent to all of
     I so no replacement shrinks it).
     """
-    work = _WorkGraph(inst.graph)
-    high, iso = _isolated_substitution_sets(work, inst.k)
-    record = _build_rule4(work, high, iso)
+    work, high = _WorkGraph(inst.graph), inst.graph.deg > inst.k
+    record = _build_rule4(work, high, _isolated_substitution_set(work, high))
     if record is None:
         return inst, None
     graph, _ = _compact(work, record)
@@ -335,28 +332,32 @@ def kernelize(inst: Instance) -> Union[TrivialNo, Kernel]:
     k^2 + 2k vertices and the same k.
     """
     g, w, k = inst.graph, inst.w, inst.k
-    if rule1_check(inst):
+    high = g.deg > k
+    k0 = int(np.count_nonzero(high))
+    if k0 > k:  # rule 1
         return TrivialNo(rule="rule1")
     work = _WorkGraph(g)
     steps: list[KernelStep] = []
-    order, k0 = _top_order(work.deg, k)
-    while order.size and work.deg[order[0]] > k * (k0 + 1):
-        t = _find_gap(work.deg[order], k)
-        if t is None:
-            raise InvariantError("top degree above k*(k0+1) forces a big gap")
-        record = _apply_rule2(work, order, t, k)
-        steps.append(record)
-        w -= record.w_delta
-        if w < 0:
-            return TrivialNo(rule="budget-underflow")
-        # the head block keeps its order on top and the gap below it closes
-        # to exactly k
-        outside = np.ones(g.n, dtype=bool)
-        outside[order[:t]] = False
-        if work.deg[order[t - 1]] - work.deg.max(where=outside, initial=0) != k:
-            raise InvariantError(f"rule 2 left a gap other than k at t={t}")
-        order, k0 = _top_order(work.deg, k)
-    high, iso = _isolated_substitution_sets(work, k)
+    if g.deg.max(initial=0) > k * (k0 + 1):  # rule 2 fires: read the top of the degree order
+        order, k0 = _top_order(g.deg, k)
+        while work.deg[order[0]] > k * (k0 + 1):
+            t = _find_gap(work.deg[order], k)
+            if t is None:
+                raise InvariantError("top degree above k*(k0+1) forces a big gap")
+            record = _apply_rule2(work, order, t, k)
+            steps.append(record)
+            w -= record.w_delta
+            if w < 0:
+                return TrivialNo(rule="budget-underflow")
+            # the head block keeps its order on top, the gap below it is k
+            outside = np.ones(g.n, dtype=bool)
+            outside[order[:t]] = False
+            if work.deg[order[t - 1]] - work.deg.max(where=outside, initial=0) != k:
+                raise InvariantError(f"rule 2 left a gap other than k at t={t}")
+            order, k0 = _top_order(work.deg, k)
+        high = work.deg > k
+    # k0 counts high; without a high vertex, I is the degree-0 vertices
+    iso = _isolated_substitution_set(work, high) if k0 else work.deg == 0
     if _rule3_fires(k, high, iso):
         return TrivialNo(rule="rule3")
     rule4 = _build_rule4(work, high, iso)
@@ -371,20 +372,19 @@ def lift(kernel: Kernel, kernel_ord: Ordering, original: Instance) -> Ordering:
     """Map an optimal ordering of the kernel back to the original graph.
 
     Only the kernel ordering's tight prefix, its first max-charge vertices,
-    is mapped: synthetic vertices are dropped, surviving originals keep
-    their relative order, and ``Ordering.from_prefix`` appends every other
-    original vertex in ascending id, as the solver completes a witness.  The
-    result is re-costed once on the original graph.
-    Its total must equal the kernel ordering's cost plus the recorded budget
-    offset, and its max charge must not exceed the original k; otherwise the
-    kernel ordering was not optimal or the trace is corrupt, and LiftError
-    is raised.
+    is mapped, through the ``vertex_map`` tuple: synthetic vertices are
+    dropped, surviving originals keep their relative order, and
+    ``Ordering.from_prefix`` appends every other original vertex in
+    ascending id, as the solver completes a witness.  The result is
+    re-costed once on the original graph.  Its total must equal the kernel
+    ordering's cost plus the recorded budget offset, and its max charge must
+    not exceed the original k; otherwise the kernel ordering was not optimal
+    or the trace is corrupt, and LiftError is raised.
     """
     trace = kernel.trace
     kernel_report = evaluate(kernel.instance.graph, kernel_ord)
-    vertex_map = np.array([-1 if v is None else v for v in trace.vertex_map], dtype=np.int64)
-    kept = vertex_map[kernel_ord.array[: kernel_report.max_cost]]
-    lifted = Ordering.from_prefix(kept[kept >= 0], original.graph.n)
+    prefix = map(trace.vertex_map.__getitem__, kernel_ord.array[: kernel_report.max_cost].tolist())
+    lifted = Ordering.from_prefix([v for v in prefix if v is not None], original.graph.n)
     report = evaluate(original.graph, lifted)
     if report.total != kernel_report.total + trace.w_offset:
         raise LiftError(

@@ -26,10 +26,10 @@ from msvc import (
     rule4_apply,
     subset_dp_optimal,
 )
-from msvc.branching import branch_solve, solve
+from msvc.branching import SolveResult, branch_solve, solve
 from msvc.kernel import KernelTrace, _WorkGraph, _apply_rule2
 
-from conftest import double_star, p3, star, triangle
+from conftest import double_star, p3, p4, star, triangle
 
 
 def disjoint_edges(count):
@@ -265,6 +265,45 @@ def test_solve_lifts_once_per_yes_instance(monkeypatch):
         yes += solve(Instance(g, w=k * g.m, k=k)).decision
     # the triangle at k = 1 is a rule-1 no and lifts nothing
     assert yes == 4 and len(calls) == yes
+
+
+# (graph, k, what the kernel does); the star has its center at the last id
+# so that the lifted witness is not the identity
+SOLVE_LAYER_CASES = [
+    pytest.param(build_graph(6, [(i, 5) for i in range(5)]), 1, "rule2", id="rule2-star"),
+    pytest.param(double_star(), 2, "rule4", id="rule4-double-star"),
+    pytest.param(p4(), 2, "none", id="p4-no-rule"),
+    pytest.param(triangle(), 1, "rule1", id="rule1-triangle"),
+    pytest.param(disjoint_edges(3), 1, "rule3", id="rule3-matching"),
+    pytest.param(disjoint_edges(3), 2, "infeasible", id="matching-no-ordering"),
+]
+
+
+@pytest.mark.parametrize("g, k, fired", SOLVE_LAYER_CASES)
+def test_solve_result_matches_its_layers(g, k, fired):
+    """Every field of solve's result is kernelize's, branch_solve's and
+    lift's, with the kernel's offset added to both costs."""
+    inst = Instance(g, w=k * g.m, k=k)
+    got, out = solve(inst), kernelize(inst)
+    if fired in ("rule1", "rule3"):
+        assert out == TrivialNo(rule=fired)
+        assert got == SolveResult(None, inst.w, 0, None, 0, trivial_no=fired)
+        return
+    steps, offset = out.trace.steps, out.trace.w_offset
+    assert {
+        "rule2": offset > 0,
+        "rule4": any(isinstance(s, Rule4Record) and s.p > 0 for s in steps),
+        "none": steps == () and out.instance == inst,
+    }.get(fired, True)
+    sub = branch_solve(out.instance)
+    assert (sub.best_cost is None) == (fired == "infeasible") == (sub.incumbent is None)
+    ids = None if sub.best_cost is None else lift(out, sub.best_ordering, inst).ids
+    best, incumbent = (None if c is None else c + offset for c in (sub.best_cost, sub.incumbent))
+    kg = out.instance.graph
+    want = SolveResult(best, inst.w, sub.covers_enumerated, incumbent, sub.dp_states, kg.n, kg.m,
+                       offset, ids)
+    assert got == want
+    assert (got.trivial_no, got.kernel_summary["w"]) == (None, out.instance.w)
 
 
 def test_lift_rejects_suboptimal_kernel_ordering():

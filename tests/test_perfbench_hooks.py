@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import msvc
-from msvc import GeneratorSpec, Instance, branch_solve, generate, solve
+from msvc import GeneratorSpec, Instance, branch_solve, build_graph, generate, solve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +40,22 @@ def test_branch_counters_read_the_result(tracing):
         tracing.COUNTERS["branching.branch_solve"](counters, (inst,), result)
         assert counters["branching.mappings"] == result.dp_states > 0
         assert counters["branching.branches"] == 0
+
+
+def test_traced_solve_records_every_layer(tracing):
+    """One traced solve of a rule-2 yes instance (a star with its center at
+    the last id, at k = 1) goes through each layer the traced benchmark
+    reads: kernelize, the cover search, branch_solve, lift, and the three
+    evaluations, one in branch_solve and two in lift."""
+    g = build_graph(6, [(i, 5) for i in range(5)])
+    inst = Instance(g, w=5, k=1)
+    tracer = tracing.Tracer(msvc)
+    result = tracer.op(lambda: msvc.branching.solve(inst))
+    assert result.decision and result.w_offset > 0
+    calls = tracer.calls()
+    names = ("branching.solve", "kernel.kernelize", "covers.enumerate", "branching.branch_solve",
+             "kernel.lift", "graph.evaluate")
+    assert [calls[name] for name in names] == [1, 1, 1, 1, 1, 3]
+    assert tracer.counters["kernel.rule2_steps"] == 1
+    assert tracer.counters["branching.mappings"] == result.dp_states > 0
+    assert msvc.branching.solve is solve  # the tracer put every attribute back
