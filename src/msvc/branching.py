@@ -26,9 +26,9 @@ prefixes before it), the smallest prefix at that charge and its uncovered
 edges.
 
 Cap.  The search starts from the least (cost, tight prefix) of the greedy
-ordering, which repeatedly places the vertex covering the most uncovered
-edges, when its max charge is at most k, and of each cover's greedy
-ordering, which places only the cover's vertices.  The cap is its cost, and
+ordering (the vertex with the most uncovered edges first, when its max
+charge is at most k) and of each cover's, which places only the cover, its
+counts read off the members' twin-class masks.  The cap is its cost, and
 each complete ordering the layers find lowers both.  Along an optimal path
 from any state the edges each vertex newly covers (its saving) never grow:
 if a vertex saved more than the one just before it, swapping the two would
@@ -131,17 +131,17 @@ class SolveResult:
 
 def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None):
     """(cost, tight prefix) of the ordering that repeatedly places the vertex
-    of ``pool`` (default all vertices; it must ascend, as ``max`` breaks ties
-    to the first, the smallest id) with the most uncovered edges, or None
+    of ``pool`` (default all vertices, on a degree list; a pool must ascend
+    and is ranked by ``_pool_greedy``) with the most uncovered edges, or None
     when its max charge exceeds k, known as soon as a (k+1)-th vertex still
     covers an edge.  On a cover it places the cover alone."""
     if k < 0:
         return None
-    pool = range(g.n) if pool is None else pool
-    remaining = list(g.degrees)
-    total, prefix = 0, []
+    if pool is not None:
+        return _pool_greedy({u: bit_mask(g.adj[u]) for u in pool}, k, pool)
+    remaining, total, prefix = list(g.degrees), 0, []
     while True:
-        v = max(pool, key=remaining.__getitem__, default=None)
+        v = max(range(g.n), key=remaining.__getitem__, default=None)
         if v is None or remaining[v] == 0:
             return total, tuple(prefix)
         if len(prefix) == k:
@@ -154,15 +154,30 @@ def greedy_incumbent(g: Graph, k: int, pool: Optional[Sequence[int]] = None):
                 remaining[x] -= 1
 
 
+def _pool_greedy(nbr, k: int, pool: Sequence[int]):
+    """``greedy_incumbent`` on an ascending pool, ``nbr[u]`` each member's neighbor mask."""
+    rest, placed, total, prefix = list(pool), 0, 0, []
+    while True:
+        out, most = ~placed, 0
+        for u in rest:  # ties go to the first, the smallest id
+            if (left := (nbr[u] & out).bit_count()) > most:  # u's uncovered edges
+                most, v = left, u
+        if not most or len(prefix) == k:  # no edge left, or a (k+1)-th vertex
+            return None if most else (total, tuple(prefix))
+        rest.remove(v)
+        prefix.append(v)
+        total, placed = total + len(prefix) * most, placed | 1 << v
+
+
 def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[tuple]):
     """(cost, tight prefix, states) of the lexicographically smallest
     optimal sequence from the roots of ``covers``, starting from the least
     of ``seed`` (a feasible ordering's (cost, tight prefix), or None) and
-    the covers' greedy orderings, or None without a cover.  Twin classes
-    are keyed by g.adj[u], and each class's two masks are built once.  A
-    layer maps each state's key x | r << n to its charge so far, the
-    smallest prefix at that charge, as its parent's prefix and a 1-tuple
-    tail (empty at a root) so that ties build no prefix, and unc."""
+    the covers' greedy orderings, read off the twin classes' neighbor
+    masks, or None without a cover.  Classes are keyed by g.adj[u], their
+    two masks built once.  A layer maps each key x | r << n to its charge
+    so far, the smallest prefix at that charge (its parent's prefix and a
+    1-tuple tail, empty at a root, so that ties build no prefix) and unc."""
     if not covers:
         return None
     n, m = g.n, g.m
@@ -174,8 +189,10 @@ def _prefix_dp(g: Graph, k: int, covers: list[tuple[int, ...]], seed: Optional[t
     twins: dict[tuple, list[int]] = {}  # g.adj[u] -> its members, ascending
     for u, ids in enumerate(g.adj):
         twins.setdefault(ids, []).append(u)
-    classes = tuple((bit_mask(ids), bit_mask(members)) for ids, members in twins.items() if ids)
-    best = min(greedy_incumbent(g, k, cover) for cover in covers)  # |S| <= k: feasible
+    masks = {ids: bit_mask(ids) for ids in twins}  # one neighbor mask per class
+    classes = [(masks[ids], bit_mask(members)) for ids, members in twins.items() if ids]
+    nbr = list(map(masks.__getitem__, g.adj))  # each vertex's, for the cover seeds
+    best = min(_pool_greedy(nbr, k, cover) for cover in covers)  # |S| <= k: feasible
     best = best if seed is None else min(best, seed)
     cap = best[0]
     layer = {bit_mask(cover) << n: (0, (), (), m) for cover in covers}

@@ -25,9 +25,9 @@ order's high-degree prefix.  Per head vertex it finds the incident edges in
 one pass over the edge arrays, picks the tail edges with one stable sort by
 current degree, clears them in an alive-edge mask and lowers a copy of the
 degree array.  Rules 3 and 4 are masks and bincounts, compaction is an
-index remap, and ``lift`` maps the kernel ordering's tight prefix through
-the vertex-map tuple.  The trace records hold the removed edges and the
-deleted vertices as read-only int64 arrays.
+index remap (re-sorted only with synthetics), and ``lift`` maps the kernel
+ordering's tight prefix through the vertex-map tuple.  The trace records
+hold the removed edges and the deleted vertices as read-only int64 arrays.
 """
 
 from __future__ import annotations
@@ -304,8 +304,7 @@ def _compact(work: _WorkGraph, rule4: Optional[Rule4Record]):
     if rule4 is None and work.alive is None:
         return g, tuple(range(g.n))
     eu, ev = work.alive_edges()
-    keep = np.ones(g.n, dtype=bool)
-    p = 0
+    keep, p = np.ones(g.n, dtype=bool), 0
     if rule4 is not None:
         keep[rule4.deleted_vertices] = False
         p = rule4.p
@@ -320,7 +319,9 @@ def _compact(work: _WorkGraph, rule4: Optional[Rule4Record]):
         slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         us = np.concatenate((us, new_id[np.repeat(hubs, counts)]))
         vs = np.concatenate((vs, survivors.size + slot))
-    graph = build_graph(survivors.size + p, np.column_stack((us, vs)))
+        graph = build_graph(survivors.size + p, np.column_stack((us, vs)))
+    else:  # the renumbering ascends, so the edges stay sorted and distinct
+        graph = Graph(n=survivors.size, eu=_readonly(us), ev=_readonly(vs))
     return graph, tuple(survivors.tolist()) + (None,) * p
 
 
@@ -376,16 +377,18 @@ def lift(kernel: Kernel, kernel_ord: Ordering, original: Instance) -> Ordering:
     dropped, surviving originals keep their relative order, and
     ``Ordering.from_prefix`` appends every other original vertex in
     ascending id, as the solver completes a witness.  The result is
-    re-costed once on the original graph.  Its total must equal the kernel
-    ordering's cost plus the recorded budget offset, and its max charge must
-    not exceed the original k; otherwise the kernel ordering was not optimal
-    or the trace is corrupt, and LiftError is raised.
+    re-costed once on the original graph, unless it is the kernel ordering
+    on the kernel's own graph.  Its total must equal the kernel ordering's
+    cost plus the recorded budget offset, and its max charge must not
+    exceed the original k; otherwise the kernel ordering was not optimal or
+    the trace is corrupt, and LiftError is raised.
     """
     trace = kernel.trace
     kernel_report = evaluate(kernel.instance.graph, kernel_ord)
     prefix = map(trace.vertex_map.__getitem__, kernel_ord.array[: kernel_report.max_cost].tolist())
     lifted = Ordering.from_prefix([v for v in prefix if v is not None], original.graph.n)
-    report = evaluate(original.graph, lifted)
+    same = original.graph is kernel.instance.graph and lifted == kernel_ord  # no rule fired
+    report = kernel_report if same else evaluate(original.graph, lifted)
     if report.total != kernel_report.total + trace.w_offset:
         raise LiftError(
             f"lift mismatch: original cost {report.total} != kernel {kernel_report.total} "

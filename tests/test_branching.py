@@ -309,6 +309,47 @@ def test_greedy_incumbent():
                 assert cost >= _prefix_dp(g, k, [cover], None)[0], cover
 
 
+def list_greedy(g, k, pool):
+    """The greedy ordering on a degree list: place the pool vertex (first,
+    so smallest, on a tie) with the most uncovered edges, and lower each
+    unplaced neighbor's count."""
+    remaining, total, prefix = list(g.degrees), 0, []
+    while True:
+        v = max(pool, key=remaining.__getitem__, default=None)
+        if v is None or remaining[v] == 0:
+            return total, tuple(prefix)
+        if len(prefix) == k:
+            return None
+        prefix.append(v)
+        total += len(prefix) * remaining[v]
+        remaining[v] = 0
+        for x in g.adj[v]:
+            if remaining[x]:
+                remaining[x] -= 1
+
+
+def test_cover_seeds_from_masks_match_the_list_greedy():
+    """Each cover's greedy seed is read off its members' neighbor masks; it
+    is the degree-list greedy's (cost, tight prefix) on every minimal cover
+    of graphs with many ties, large ones included."""
+    cases = [(generate(GeneratorSpec("claw_chain", (c,))), None) for c in range(1, 7)]
+    cases += [(build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)]), None)
+              for a in range(1, 5) for b in range(1, 6)]
+    cases += [(all_subsets(5), 10), (generate(GeneratorSpec("gnp", (8, 0.65), seed=8018)), 8),
+              (build_graph(20_000, [(2 * i, 2 * i + 1) for i in range(10)]), 10),
+              (build_graph(40_001, [(leaf, 40_000) for leaf in range(40_000)]), 1)]
+    seeds = 0
+    for g, k in cases:
+        k = g.n if k is None else k
+        for cover in enumerate_minimal_covers(g, k):
+            assert greedy_incumbent(g, k, cover) == list_greedy(g, k, cover), (g, k, cover)
+            assert greedy_incumbent(g, len(cover) - 1, cover) is None  # it places every member
+            seeds += 1
+    # claw chains 2^c covers, K_{a,b} its two sides, all_subsets(5) its 5
+    # cover vertices, gnp8_worst 9, the padded edges 2^10, the star its center
+    assert seeds == (2 + 4 + 8 + 16 + 32 + 64) + 2 * 20 + 1 + 9 + 1024 + 1
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_matches_subset_dp_past_brute_force_scale(n):
     for i, p in enumerate((0.15, 0.2, 0.3, 0.45)):

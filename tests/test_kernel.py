@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +266,88 @@ def test_solve_lifts_once_per_yes_instance(monkeypatch):
         yes += solve(Instance(g, w=k * g.m, k=k)).decision
     # the triangle at k = 1 is a rule-1 no and lifts nothing
     assert yes == 4 and len(calls) == yes
+
+
+def test_lift_on_an_unreduced_kernel():
+    """No rule fires on p4 at k = 2, so the kernel is the input graph itself:
+    a witness already in canonical form is costed once, any other ordering
+    is lifted to the canonical one and re-costed, and both checks still
+    raise."""
+    inst = Instance(p4(), w=8, k=2)
+    out = kernelize(inst)
+    assert out.trace.steps == () and out.instance.graph is inst.graph
+    tail_down = Ordering.from_sequence([1, 2, 3, 0])  # tight prefix (1, 2), then 3 before 0
+    lifted = lift(out, tail_down, inst)
+    assert lifted.sequence == (1, 2, 0, 3)
+    assert evaluate(inst.graph, lifted) == evaluate(inst.graph, tail_down)
+    assert lift(out, lifted, inst) == lifted
+    with pytest.raises(LiftError, match="max charge 3 exceeds k = 2"):
+        lift(out, Ordering.identity(4), inst)  # its own canonical form, charged 1, 2, 3
+    # a trace whose budget offset the costs do not carry
+    step = Rule2Record(t=1, delta=2, removed_edges=np.zeros((0, 2), np.int64), w_delta=1)
+    offset = Kernel(out.instance, KernelTrace(steps=(step,), vertex_map=out.trace.vertex_map))
+    with pytest.raises(LiftError, match="lift mismatch"):
+        lift(offset, lifted, inst)
+    # a vertex map that moves a vertex is re-costed on the kernel's own graph too
+    g = star(3)
+    moved = Kernel(Instance(g, w=3, k=1), KernelTrace(steps=(), vertex_map=(1, 0, 2, 3)))
+    with pytest.raises(LiftError, match="original cost 5 != kernel 3"):
+        lift(moved, Ordering.identity(4), Instance(g, w=3, k=1))
+
+
+def test_solve_costs_the_witness_twice_on_an_unreduced_kernel(monkeypatch):
+    """branch_solve re-verifies its witness and lift costs it on the kernel;
+    only a kernel that differs from the input costs the lifted ordering a
+    third time, on the input graph."""
+    import msvc.branching
+    import msvc.kernel
+
+    calls = []
+
+    def counted(g, ordering):
+        calls.append(g)
+        return evaluate(g, ordering)
+
+    monkeypatch.setattr(msvc.branching, "evaluate", counted)
+    monkeypatch.setattr(msvc.kernel, "evaluate", counted)
+    for g, k, fired, costings in ((p4(), 2, None, 2), (disjoint_edges(3), 3, None, 2),
+                                  (double_star(), 2, Rule4Record, 3)):
+        inst = Instance(g, w=k * g.m, k=k)
+        assert [type(s) for s in kernelize(inst).trace.steps] == ([] if fired is None else [fired])
+        calls.clear()
+        assert solve(inst).decision
+        assert len(calls) == costings, (g, k, len(calls))
+        assert calls[-1] is g
+
+
+def test_compact_builds_the_graph_of_a_kernel_without_synthetics(monkeypatch):
+    """Without synthetics the renumbered alive edges stay sorted and
+    distinct, so compaction builds the kernel graph directly: the same graph
+    build_graph makes of its edges, on read-only int64 arrays."""
+    import msvc.kernel
+
+    def refused(*args):
+        raise AssertionError("compaction re-sorted the edges")
+
+    # rule 4 with p = 0 drops the degree-0 vertices 1 and 4; rule 2 alone
+    # cuts one edge of the hub 0
+    cases = ((build_graph(7, [(0, 2), (0, 3), (2, 5), (3, 6), (5, 6)]), 3, [Rule4Record],
+              ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4))),
+             (build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                              (1, 5), (1, 7), (2, 3), (2, 7), (3, 5), (4, 6)]), 3, [Rule2Record],
+              None))
+    for g, k, fired, edges in cases:
+        inst = Instance(g, w=k * g.m, k=k)
+        with monkeypatch.context() as patch:
+            patch.setattr(msvc.kernel, "build_graph", refused)
+            out = kernelize(inst)
+        assert [type(s) for s in out.trace.steps] == fired
+        assert all(s.p == 0 for s in out.trace.steps if isinstance(s, Rule4Record))
+        kg = out.instance.graph
+        assert kg is not g and kg == build_graph(kg.n, np.column_stack((kg.eu, kg.ev)))
+        assert edges is None or kg.edges == edges
+        for a in (kg.eu, kg.ev):
+            assert a.dtype == np.int64 and not a.flags.writeable
 
 
 # (graph, k, what the kernel does); the star has its center at the last id
